@@ -42,7 +42,7 @@ inline void printHeaderBlock(const char *Table, const char *What) {
   std::printf("\n=== %s: %s ===\n", Table, What);
   std::printf("(paper values from a Sun SPARC-10 and the original "
               "benchmark sources; ours are reconstructions — compare "
-              "shapes, not absolutes; see EXPERIMENTS.md)\n\n");
+              "shapes, not absolutes; see DESIGN.md)\n\n");
 }
 
 /// The distinct (program, goal) queries of the serving workload: each

@@ -12,9 +12,10 @@
 ///
 /// Besides the human-readable table, the harness writes a
 /// machine-readable BENCH_table3.json (per-program solve seconds,
-/// iterations, op-cache hit rates) so CI can accumulate a bench
-/// trajectory. Override the output path with the BENCH_TABLE3_JSON
-/// environment variable; set it to the empty string to skip the file.
+/// iterations, op-cache hit rates, interner outcomes) so CI can
+/// accumulate a bench trajectory. Override the output path with the
+/// BENCH_TABLE3_JSON environment variable; set it to the empty string
+/// to skip the file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -149,17 +150,23 @@ void printTable3(const std::vector<Table3Row> &Rows) {
 
   std::printf("--- hash-consing / op-cache layer (uncapped runs) ---\n");
   std::printf("Program   opHit%%      hits    misses   graphs  "
-              "lookups  skipped   rss(KiB)\n");
+              "lookups  skipped   rss(KiB)  iStruct   iAuto   iMiss    "
+              "keys\n");
   for (const Table3Row &Row : Rows) {
     const EngineStats &S = Row.Base.Stats;
-    std::printf("%-8s %6.1f %9llu %9llu %8llu %8llu %8llu %10ld\n",
+    std::printf("%-8s %6.1f %9llu %9llu %8llu %8llu %8llu %10ld %8llu "
+                "%7llu %7llu %7llu\n",
                 Row.Key.c_str(), 100.0 * cacheHitRate(Row.Base),
                 static_cast<unsigned long long>(S.OpCacheHits),
                 static_cast<unsigned long long>(S.OpCacheMisses),
                 static_cast<unsigned long long>(S.InternedGraphs),
                 static_cast<unsigned long long>(S.EntryLookups),
                 static_cast<unsigned long long>(S.RecomputesSkipped),
-                Row.PeakRssKb);
+                Row.PeakRssKb,
+                static_cast<unsigned long long>(S.InternStructHits),
+                static_cast<unsigned long long>(S.InternAutoHits),
+                static_cast<unsigned long long>(S.InternMisses),
+                static_cast<unsigned long long>(S.InternKeysBuilt));
   }
   std::printf("\n");
 }
@@ -193,6 +200,8 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
         "\"solve_seconds_cap5\": %.6f, \"solve_seconds_cap2\": %.6f, "
         "\"op_cache_hits\": %llu, \"op_cache_misses\": %llu, "
         "\"op_cache_hit_rate\": %.4f, \"interned_graphs\": %llu, "
+        "\"intern_struct_hits\": %llu, \"intern_auto_hits\": %llu, "
+        "\"intern_misses\": %llu, \"intern_keys_built\": %llu, "
         "\"entry_lookups\": %llu, \"entry_compares\": %llu, "
         "\"recomputes_skipped\": %llu, \"peak_rss_kb\": %ld, "
         "\"widen_invocations\": %llu, \"widen_cache_hits\": %llu, "
@@ -209,6 +218,10 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
         static_cast<unsigned long long>(S.OpCacheMisses),
         cacheHitRate(Row.Base),
         static_cast<unsigned long long>(S.InternedGraphs),
+        static_cast<unsigned long long>(S.InternStructHits),
+        static_cast<unsigned long long>(S.InternAutoHits),
+        static_cast<unsigned long long>(S.InternMisses),
+        static_cast<unsigned long long>(S.InternKeysBuilt),
         static_cast<unsigned long long>(S.EntryLookups),
         static_cast<unsigned long long>(S.EntryCompares),
         static_cast<unsigned long long>(S.RecomputesSkipped),

@@ -257,7 +257,12 @@ AnalysisResult analyzeImpl(std::shared_ptr<SymbolTable> SymsPtr,
         R.Stats.OpCacheHits = Ops->stats().Hits;
         R.Stats.OpCacheMisses = Ops->stats().Misses;
         R.Stats.OpCacheSharedHits = Ops->stats().SharedHits;
-        R.Stats.InternSharedHits = Ops->interner().stats().SharedHits;
+        const InternStats &IS = Ops->interner().stats();
+        R.Stats.InternSharedHits = IS.SharedHits;
+        R.Stats.InternStructHits = IS.StructHits;
+        R.Stats.InternAutoHits = IS.AutoHits;
+        R.Stats.InternMisses = IS.Misses;
+        R.Stats.InternKeysBuilt = IS.KeysBuilt;
         R.Stats.InternedGraphs = Ops->interner().size();
         R.Stats.PfSetHits = Ops->pfStats().Hits;
         R.Stats.PfSetMisses = Ops->pfStats().Misses;

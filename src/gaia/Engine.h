@@ -120,6 +120,14 @@ struct EngineStats {
   /// Distinct graph languages hash-consed by the interner (shared tier
   /// plus the run's private delta).
   uint64_t InternedGraphs = 0;
+  /// Interner slow-path outcomes (support/GraphInterner.h InternStats):
+  /// structural hits, new shapes of known languages, new languages, and
+  /// the minimal automata built to key the fallback map (zero while
+  /// every interned graph is certified).
+  uint64_t InternStructHits = 0;
+  uint64_t InternAutoHits = 0;
+  uint64_t InternMisses = 0;
+  uint64_t InternKeysBuilt = 0;
   /// Pf-set interner counters (support/PfSetInterner.h), filled in by
   /// the analyzer from the widening scratch (zero when uncached).
   uint64_t PfSetHits = 0;

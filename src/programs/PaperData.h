@@ -2,7 +2,7 @@
 ///
 /// \file
 /// The values reported in Tables 1-5 of the paper, used by the benchmark
-/// harnesses and EXPERIMENTS.md to print paper-vs-measured comparisons.
+/// harnesses to print paper-vs-measured comparisons.
 /// Our benchmark sources are reconstructions, so absolute counts differ;
 /// the comparison targets the *shape* (orderings, ratios, which program
 /// is pathological).

@@ -2,10 +2,13 @@
 
 #include "support/GraphInterner.h"
 
+#include "support/Debug.h"
 #include "support/FaultInject.h"
 #include "typegraph/Normalize.h"
 
 #include <atomic>
+#include <cstdio>
+#include <string>
 
 using namespace gaia;
 
@@ -88,30 +91,27 @@ bool gaia::structuralEqual(const TypeGraph &A, const TypeGraph &B) {
   return true;
 }
 
-namespace {
-
-/// Process-wide epoch source for interner identity tags. Epoch 0 is the
-/// "never interned" state of a fresh graph, so the counter starts at 1.
-/// Atomic: individual interners are single-threaded, but interners for
-/// independent analyses may be constructed concurrently, and a duplicated
-/// epoch would let a graph smuggle a cached id across interners.
-uint64_t nextInternerEpoch() {
-  static std::atomic<uint64_t> Counter{0};
-  return Counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 /// Serializes the canonical minimal automaton of \p G into a flat word
 /// sequence. buildAutomaton numbers states deterministically from the
 /// structure alone, so the serialization is a canonical language key.
-std::vector<uint64_t> automatonKey(const TypeGraph &G,
-                                   const SymbolTable &Syms,
-                                   NormalizeScratch &Scratch) {
-  GrammarAutomaton A = buildAutomaton(G, Syms, &Scratch);
+std::vector<uint64_t> gaia::automatonKey(const TypeGraph &G,
+                                         const SymbolTable &Syms,
+                                         NormalizeScratch *Scratch) {
+  GrammarAutomaton A = buildAutomaton(G, Syms, Scratch);
   std::vector<uint64_t> Key;
   if (A.Empty) {
     Key.push_back(0xE0);
     return Key;
   }
+  // Exact size up front: tier maps keep these vectors for their
+  // lifetime, so growth slack would be resident memory.
+  size_t Words = 1;
+  for (const GrammarAutomaton::State &S : A.States) {
+    Words += 2;
+    for (const auto &[Fn, Args] : S.Trans)
+      Words += 1 + Args.size();
+  }
+  Key.reserve(Words);
   Key.push_back(A.States.size());
   for (const GrammarAutomaton::State &S : A.States) {
     Key.push_back((S.IsAny ? 2 : 0) | (S.HasInt ? 1 : 0));
@@ -125,12 +125,50 @@ std::vector<uint64_t> automatonKey(const TypeGraph &G,
   return Key;
 }
 
+namespace {
+
+/// Process-wide epoch source for interner identity tags. Epoch 0 is the
+/// "never interned" state of a fresh graph, so the counter starts at 1.
+/// Atomic: individual interners are single-threaded, but interners for
+/// independent analyses may be constructed concurrently, and a duplicated
+/// epoch would let a graph smuggle a cached id across interners.
+uint64_t nextInternerEpoch() {
+  static std::atomic<uint64_t> Counter{0};
+  return Counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+/// Debug and audit builds re-derive what the keyless path trusts: a
+/// certificate on a non-canonical graph would mint a second id for a
+/// known language, so it must fail here, loudly.
+void auditCertificate(const TypeGraph &G, const SymbolTable &Syms) {
+#if !defined(NDEBUG) || defined(GAIA_AUDIT)
+  std::string Why;
+  if (!G.cachesFresh(Syms, &Why)) {
+    std::fprintf(stderr, "interned graph fails its cache audit: %s\n",
+                 Why.c_str());
+    GAIA_UNREACHABLE("GraphInterner trusted a lying certificate");
+  }
+#else
+  (void)G;
+  (void)Syms;
+#endif
+}
+
 } // namespace
 
 GraphInterner::GraphInterner(const SymbolTable &Syms,
                              std::shared_ptr<const FrozenInternTier> Tier)
     : Syms(Syms), Shared(std::move(Tier)),
-      Base(Shared ? Shared->size() : 0), Epoch(nextInternerEpoch()) {}
+      Base(Shared ? Shared->size() : 0),
+      NeedKeys(Shared && Shared->HasUncertified), Epoch(nextInternerEpoch()) {}
+
+void GraphInterner::backfillKeys() {
+  for (uint32_t I = 0; I != Canon.size(); ++I) {
+    AutoMap.emplace(automatonKey(Canon[I], Syms, &Scratch), Base + I);
+    ++St.KeysBuilt;
+  }
+  NeedKeys = true;
+}
 
 CanonId GraphInterner::intern(const TypeGraph &G) {
   // O(1) path: this exact value object (or a copy of one) has been
@@ -190,32 +228,43 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
       return Id;
     }
 
-  std::vector<uint64_t> AKey = automatonKey(G, Syms, Scratch);
-  if (Shared) {
-    auto SharedIt = Shared->AutoMap.find(AKey);
-    if (SharedIt != Shared->AutoMap.end()) {
-      // New shape of a language the shared tier knows: record the shape
-      // privately so the next structural lookup short-circuits.
-      ++St.SharedHits;
-      Shared->touch(SharedIt->second);
-      Aliases.push_back(G);
-      Bucket.emplace_back(&Aliases.back(), SharedIt->second);
-      G.setInternCache(Shared->Epoch, SharedIt->second);
-      return SharedIt->second;
+  // A certified graph that missed every structural map is a new
+  // language unless an uncertified graph may hold it (see file comment):
+  // only then is the minimal automaton worth building.
+  std::vector<uint64_t> AKey;
+  if (NeedKeys || !G.hasNormCertificate()) {
+    if (!NeedKeys)
+      backfillKeys();
+    AKey = automatonKey(G, Syms, &Scratch);
+    ++St.KeysBuilt;
+    if (Shared) {
+      auto SharedIt = Shared->AutoMap.find(AKey);
+      if (SharedIt != Shared->AutoMap.end()) {
+        // New shape of a language the shared tier knows: record the
+        // shape privately so the next structural lookup short-circuits.
+        ++St.SharedHits;
+        Shared->touch(SharedIt->second);
+        Aliases.push_back(G);
+        Bucket.emplace_back(&Aliases.back(), SharedIt->second);
+        G.setInternCache(Shared->Epoch, SharedIt->second);
+        return SharedIt->second;
+      }
     }
-  }
-  auto It = AutoMap.find(AKey);
-  if (It != AutoMap.end()) {
-    // New shape of a known language: remember it so the next structural
-    // lookup of this shape short-circuits.
-    ++St.AutoHits;
-    // The private automaton map only records privately assigned ids
-    // (>= Base), so this is always a delta-heat tick.
-    ++DeltaHits[It->second - Base];
-    Aliases.push_back(G);
-    Bucket.emplace_back(&Aliases.back(), It->second);
-    G.setInternCache(Epoch, It->second);
-    return It->second;
+    auto It = AutoMap.find(AKey);
+    if (It != AutoMap.end()) {
+      // New shape of a known language: remember it so the next
+      // structural lookup of this shape short-circuits.
+      ++St.AutoHits;
+      // The private automaton map only records privately assigned ids
+      // (>= Base), so this is always a delta-heat tick.
+      ++DeltaHits[It->second - Base];
+      Aliases.push_back(G);
+      Bucket.emplace_back(&Aliases.back(), It->second);
+      G.setInternCache(Epoch, It->second);
+      return It->second;
+    }
+  } else {
+    auditCertificate(G, Syms);
   }
 
   ++St.Misses;
@@ -224,7 +273,8 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
   DeltaHits.push_back(0);
   Canon.back().setInternCache(Epoch, Id);
   Bucket.emplace_back(&Canon.back(), Id);
-  AutoMap.emplace(std::move(AKey), Id);
+  if (NeedKeys)
+    AutoMap.emplace(std::move(AKey), Id);
   G.setInternCache(Epoch, Id);
   return Id;
 }
@@ -287,6 +337,18 @@ GraphInterner::freeze(bool SealStorage) const {
       B.AutoMap.emplace(Key, Reloc.map(Id));
   for (const auto &[Key, Id] : AutoMap)
     B.AutoMap.emplace(Key, Reloc.map(Id));
+  // Entries interned on the certified path have no key yet. Complete
+  // them: a worker over this tier that meets an uncertified alias of a
+  // tier language must find the tier's id by automaton.
+  // A local scratch, not the thread-local fallback: its buffers die
+  // with the call instead of pinning memory on the freezing thread.
+  if (!NeedKeys) {
+    NormalizeScratch KeyScratch;
+    for (uint32_t I = 0; I != Canon.size(); ++I)
+      B.AutoMap.emplace(automatonKey(Canon[I], Syms, &KeyScratch),
+                        Reloc.map(Base + I));
+  }
+  B.HasUncertified = NeedKeys;
 
   auto T = std::make_shared<const FrozenInternTier>(std::move(B));
   if (SealStorage)

@@ -25,6 +25,18 @@
 ///      invariant — equal language iff equal id — holds even for
 ///      hand-built (non-canonical but normalized) graphs.
 ///
+/// The fallback is needed only once an *uncertified* graph has been
+/// interned (here or in the shared tier underneath): a MaxNodes/MaxDepth
+/// truncation, the DepthK ablation, or a hand-built graph. Until then
+/// every stored graph carries a normalization certificate, which under
+/// any options makes it the canonical unfold of its language's minimal
+/// automaton, so a certified graph that misses the structural map has a
+/// language no entry has — a new id, with no automaton built. The first
+/// uncertified intern backfills the keys of every private entry and
+/// switches the interner to the keyed path for good; freeze() completes
+/// the keys of every entry, so a tier's automaton map is always whole
+/// and records whether uncertified graphs live in it.
+///
 /// For the batch runtime the interner is *two-tier*: `freeze()` snapshots
 /// a populated interner into an immutable FrozenInternTier whose lookups
 /// are safe for unsynchronized concurrent reads (every stored graph has
@@ -73,13 +85,22 @@ uint64_t structuralHash(const TypeGraph &G);
 /// renumbered vertex sequence, kinds, functors and successor lists).
 bool structuralEqual(const TypeGraph &A, const TypeGraph &B);
 
-/// Interning statistics (surfaced through EngineStats by the analyzer).
+/// The serialized minimal automaton of \p G (buildAutomaton numbers
+/// states from the structure alone): a canonical language key for any
+/// graph. The interner's fallback map is keyed on it.
+std::vector<uint64_t> automatonKey(const TypeGraph &G,
+                                   const SymbolTable &Syms,
+                                   NormalizeScratch *Scratch = nullptr);
+
+/// Interning statistics. The analyzer copies all but IdHits into
+/// EngineStats (Intern* fields).
 struct InternStats {
   uint64_t IdHits = 0;     ///< resolved by the graph's cached (epoch, id)
   uint64_t StructHits = 0; ///< resolved by the structural fast path
   uint64_t AutoHits = 0;   ///< new shape, known language (alias recorded)
   uint64_t Misses = 0;     ///< new language (canonical graph stored)
   uint64_t SharedHits = 0; ///< resolved in the frozen shared tier
+  uint64_t KeysBuilt = 0;  ///< minimal automata built for the fallback
 };
 
 /// An immutable snapshot of a populated GraphInterner: the read-only
@@ -115,6 +136,7 @@ struct FrozenInternTier {
           AutoMap(makeFrozenContainer<AutoKeyMap>(Arena)) {}
     std::shared_ptr<FrozenArena> Arena;
     uint64_t Epoch = 0;
+    bool HasUncertified = false;
     FrozenVector<TypeGraph> Canon;
     FrozenDeque<TypeGraph> Aliases;
     BucketMap StructBuckets;
@@ -123,7 +145,8 @@ struct FrozenInternTier {
 
   explicit FrozenInternTier(Builder &&B)
       : Arena(std::move(B.Arena)), Epoch(B.Epoch),
-        Canon(std::move(B.Canon)), Aliases(std::move(B.Aliases)),
+        HasUncertified(B.HasUncertified), Canon(std::move(B.Canon)),
+        Aliases(std::move(B.Aliases)),
         StructBuckets(std::move(B.StructBuckets)),
         AutoMap(std::move(B.AutoMap)),
         TouchGens(std::make_unique<std::atomic<uint32_t>[]>(Canon.size())) {}
@@ -142,6 +165,10 @@ struct FrozenInternTier {
   /// canonical graphs carry it, so any interner layered over this tier
   /// re-interns them with a tag compare.
   const uint64_t Epoch;
+  /// True if an uncertified graph was interned into any interner this
+  /// tier was frozen from. Interners layered over such a tier must key
+  /// every structural miss by its automaton (see the file comment).
+  const bool HasUncertified;
   /// Canonical representatives; the tier owns ids [0, Canon.size()).
   const FrozenVector<TypeGraph> Canon;
   /// Extra recorded shapes of known languages (deque: bucket entries
@@ -149,7 +176,7 @@ struct FrozenInternTier {
   const FrozenDeque<TypeGraph> Aliases;
   /// Shape hash -> (representative graph, id).
   const BucketMap StructBuckets;
-  /// Serialized minimal automaton -> id.
+  /// Serialized minimal automaton -> id, for every id of the tier.
   const AutoKeyMap AutoMap;
   /// Per-id touch generations for compaction liveness (last generation
   /// in which the id was resolved through this tier). Heap-side, never
@@ -264,6 +291,10 @@ public:
   const InternStats &stats() const { return St; }
 
 private:
+  /// Keys every private entry interned on the certified path, then sets
+  /// NeedKeys.
+  void backfillKeys();
+
   const SymbolTable &Syms;
   /// Read-only shared tier (may be null). Owns ids [0, Base).
   std::shared_ptr<const FrozenInternTier> Shared;
@@ -282,7 +313,11 @@ private:
                                                      CanonId>>>
       StructBuckets;
   /// Serialized minimal automaton -> id (canonical for any graph).
+  /// Complete for the private entries once NeedKeys is set, empty before.
   std::unordered_map<std::vector<uint64_t>, CanonId, U64VectorHash> AutoMap;
+  /// Set once an uncertified graph reached the automaton step here or in
+  /// the shared tier; from then on every structural miss is keyed.
+  bool NeedKeys;
   /// Distinguishes this interner's cached ids from those of any other
   /// interner a graph value may have met (one process hosts many
   /// analyses); drawn from a process-wide counter.

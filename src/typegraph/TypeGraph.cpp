@@ -4,8 +4,9 @@
 
 #include "support/Debug.h"
 #include "support/FaultInject.h"
-#include "support/GraphInterner.h" // structuralHash, for the cachesFresh audit
+#include "support/GraphInterner.h" // structuralHash/Equal: cachesFresh
 #include "support/PfSetInterner.h"
+#include "typegraph/Normalize.h"
 
 #include <algorithm>
 #include <set>
@@ -233,6 +234,20 @@ bool TypeGraph::cachesFresh(const SymbolTable &Syms, std::string *Why) const {
   }
   if (NormValid && !validate(Syms))
     return Fail("normalization certificate on an invalid graph");
+#if !defined(NDEBUG) || defined(GAIA_AUDIT)
+  // GraphInterner resolves certified graphs by shape alone, so a
+  // certificate on a graph that is not the canonical unfold of its
+  // language would mint a second id for a known language. Re-derive the
+  // canonical form from an uncertified twin (setRoot drops the caches)
+  // under unbounded options: the claim holds whatever options certified
+  // the graph.
+  if (NormValid) {
+    TypeGraph Twin = *this;
+    Twin.setRoot(RootId);
+    if (!structuralEqual(normalizeGraph(Twin, Syms), *this))
+      return Fail("normalization certificate on a non-canonical graph");
+  }
+#endif
   return true;
 }
 

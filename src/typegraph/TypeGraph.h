@@ -255,6 +255,12 @@ public:
            (NormUniversal || (NormOrCap == OrCap && NormMaxNodes == MaxNodes &&
                               NormMaxDepth == MaxDepth));
   }
+  /// True if the graph carries a certificate for *any* option values. A
+  /// certified graph is the canonical unfold of its own language's
+  /// minimal automaton (options only decide which language that is), so
+  /// two certified graphs denote the same language iff they are
+  /// structurally equal — what GraphInterner's keyless path relies on.
+  bool hasNormCertificate() const { return NormValid; }
 
   /// Cached BFS-structural signature (see support/GraphInterner.h). The
   /// mutators clear it; structuralHash fills it on first use.
@@ -287,9 +293,11 @@ public:
   /// graph currently carries and checks it against the stored value (the
   /// structural signature against a fresh BFS hash, the topology cache
   /// against a fresh BFS, the normalization certificate against
-  /// validate()). A mutator that forgot to invalidate shows up here as a
-  /// loud failure instead of a wrong canonical id. Returns false and
-  /// fills \p Why on mismatch.
+  /// validate() and — in Debug and GAIA_AUDIT builds — against a
+  /// re-normalization of a certificate-free copy, which must reproduce
+  /// the graph structurally). A mutator that forgot to invalidate shows
+  /// up here as a loud failure instead of a wrong canonical id. Returns
+  /// false and fills \p Why on mismatch.
   bool cachesFresh(const SymbolTable &Syms, std::string *Why = nullptr) const;
   void assertCachesFresh(const SymbolTable &Syms) const {
 #ifndef NDEBUG
