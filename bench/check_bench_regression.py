@@ -84,31 +84,11 @@ the resident-service overload ramp) and fails when
   the load multiples are derived from the same run's measured capacity,
   so the thresholds are machine-relative by construction.
 
-Parallel-solve gate (--parallel) — checks BENCH_parallel.json
-(bench/parallel_solve, the SCC-scheduled intra-analysis parallel mode)
-and fails when
-
-  * identical_all is false (a parallel solve's semantic fingerprint —
-    query grammars, summary grammars/tags, pattern and tuple counts —
-    diverged from the sequential oracle: a correctness bug in the
-    speculation machinery, never a perf matter), or
-  * the 4-solver-thread run on the largest Section 9 program speeds up
-    below the floor for this machine's core count: 1.5x over 1 thread
-    with >= 8 hardware threads, 1.2x with 4-7 (speculative workers need
-    real cores; with only 4 the parent competes with its own workers).
-    Below 4 threads the speedup is physically unreachable — speculation
-    is pure overhead on the oracle's critical path — and only the
-    identity check gates.
-
-  The parallel gate is self-contained (no baseline file): the speedup
-  is computed against the same run's 1-thread latency.
-
 Usage:
   check_bench_regression.py [<table3.json> [<table3-baseline.json>]]
       [--throughput <throughput.json> [<throughput-baseline.json>]]
       [--lifecycle <tier_lifecycle.json>]
       [--service <service.json>]
-      [--parallel <parallel.json>]
 The table3 positional may be omitted when at least one mode flag is
 given (the service-soak CI job gates only its own snapshot).
 Exit status: 0 ok, 1 regression/non-convergence/divergence, 2 bad invocation.
@@ -158,14 +138,6 @@ SERVICE_KEYS = ("deadline_ms", "capacity", "legs", "identical_all",
                 "post_drain_tier_identical")
 SERVICE_LEG_KEYS = ("multiple", "chaos", "submitted", "shed_rate", "p99_ms",
                     "unstructured_failures", "non_rejected_refusals")
-# Parallel solve: (min hardware threads, required 4-thread-over-1-thread
-# speedup on the largest program). Lower floors than the throughput
-# gate's — inside one analysis the sequential parent is the critical
-# path and speculation can only shave the cold tail, not parallelize
-# the fixpoint wholesale.
-PARALLEL_FLOORS = [(8, 1.5), (4, 1.2)]
-PARALLEL_KEYS = ("identical_all", "speedup_4t_largest", "largest_key",
-                 "hardware_concurrency", "programs")
 
 
 def fail_config(msg):
@@ -488,54 +460,11 @@ def check_service(path):
     return failed
 
 
-def check_parallel(path):
-    current = load_snapshot(path, PARALLEL_KEYS, "parallel snapshot")
-
-    failed = False
-
-    if not current.get("identical_all", False):
-        print(
-            "FAIL: a parallel solve diverged from the sequential oracle's "
-            "semantic fingerprint (grammars/tags/pattern counts must be "
-            "bit-identical at every SolverThreads setting)"
-        )
-        failed = True
-    else:
-        print("parallel identity (all programs, all thread counts): ok")
-
-    hw = current["hardware_concurrency"]
-    speedup = current["speedup_4t_largest"]
-    key = current["largest_key"]
-    floor = next((f for min_hw, f in PARALLEL_FLOORS if hw >= min_hw), None)
-    if floor is not None:
-        verdict = "ok" if speedup >= floor else "REGRESSION"
-        print(
-            f"parallel speedup: 4t/1t {speedup:.2f}x on {key} with {hw} "
-            f"hardware threads (floor {floor:.1f}x) -> {verdict}"
-        )
-        if speedup < floor:
-            failed = True
-    else:
-        print(
-            f"parallel speedup: 4t/1t {speedup:.2f}x on {key} — not gated "
-            f"({hw} hardware threads < {PARALLEL_FLOORS[-1][0]})"
-        )
-    return failed
-
-
 def main(argv):
     args = argv[1:]
     tp_current = tp_baseline = None
     lc_current = None
     sv_current = None
-    pl_current = None
-    if "--parallel" in args:
-        i = args.index("--parallel")
-        if i + 1 >= len(args):
-            print(__doc__, file=sys.stderr)
-            return 2
-        pl_current = args[i + 1]
-        args = args[:i] + args[i + 2 :]
     if "--service" in args:
         i = args.index("--service")
         if i + 1 >= len(args):
@@ -563,7 +492,7 @@ def main(argv):
         args = args[:i]
 
     any_mode = tp_current is not None or lc_current is not None \
-        or sv_current is not None or pl_current is not None
+        or sv_current is not None
     if len(args) > 2 or (not args and not any_mode):
         print(__doc__, file=sys.stderr)
         return 2
@@ -580,8 +509,6 @@ def main(argv):
         failed = check_lifecycle(lc_current) or failed
     if sv_current is not None:
         failed = check_service(sv_current) or failed
-    if pl_current is not None:
-        failed = check_parallel(pl_current) or failed
 
     return 1 if failed else 0
 

@@ -4,7 +4,6 @@
 
 #include "domains/PFLeaf.h"
 #include "domains/TypeLeaf.h"
-#include "gaia/SccScheduler.h"
 #include "runtime/SharedCache.h"
 #include "typegraph/GrammarParser.h"
 
@@ -53,8 +52,7 @@ template <typename Leaf>
 void runWithLeaf(AnalysisResult &R, const typename Leaf::Context &C,
                  SymbolTable &Syms, const Program &Prog,
                  const NProgram &NProg, const InputPattern &Pattern,
-                 const EngineOptions &EngOpts,
-                 EngineHints<Leaf> *Hints = nullptr) {
+                 const EngineOptions &EngOpts) {
   FunctorId Entry = Syms.functor(Pattern.PredName, Pattern.arity());
   if (!Prog.defines(Entry)) {
     R.Error = "goal predicate " + Syms.functorString(Entry) +
@@ -64,8 +62,6 @@ void runWithLeaf(AnalysisResult &R, const typename Leaf::Context &C,
   }
 
   Engine<Leaf> Eng(NProg, C, EngOpts);
-  if (Hints)
-    Eng.setHints(Hints);
   PatSub<Leaf> In = makeInputSub<Leaf>(C, Pattern, Syms);
   PatSub<Leaf> Out = Eng.solve(Entry, In);
   R.Stats = Eng.stats();
@@ -145,13 +141,11 @@ AnalysisResult analyzeImpl(std::shared_ptr<SymbolTable> SymsPtr,
     R.UnknownPredicates.push_back(Syms.functorString(Fn));
 
   FunctorId Entry = Syms.functor(Pattern->PredName, Pattern->arity());
-  // One call graph serves three clients: the Table 1 metrics, the
-  // engine's memo-table reserve, and the parallel scheduler's SCC
-  // condensation.
+  // One call graph serves both metric tables: the Table 1 static call
+  // tree and the Table 2 SCC classification.
   CallGraph CG(*Prog, Syms);
   R.Sizes = computeSizeMetrics(*Prog, NProg, Syms, Entry, CG);
-  R.Recursion = classifyRecursion(*Prog, Syms);
-  std::vector<FunctorId> Cone = CG.reachableFrom(Entry);
+  R.Recursion = classifyRecursion(*Prog, Syms, CG);
 
   // The job's combined stop condition: the deadline clock starts here
   // (analysis proper — parse errors above return before arming), the
@@ -173,12 +167,6 @@ AnalysisResult analyzeImpl(std::shared_ptr<SymbolTable> SymsPtr,
   EngOpts.MaxFixpointRounds = Opts.MaxFixpointRounds;
   if (Signal.armed())
     EngOpts.Cancel = &Signal;
-  if (Opts.ReserveFromCallCone && !Cone.empty()) {
-    // The cone predicts distinct predicates, not entries; polyvariance
-    // adds input patterns per predicate, so leave headroom. A wrong
-    // estimate only costs memory or a rehash, never a result.
-    EngOpts.ExpectedEntries = Cone.size() * 2 + 16;
-  }
   try {
     if (Opts.Domain == DomainKind::TypeGraphs) {
       NormalizeOptions Norm;
@@ -222,37 +210,7 @@ AnalysisResult analyzeImpl(std::shared_ptr<SymbolTable> SymsPtr,
             std::make_shared<TypeLeaf::Constants>(Shared->leafConstants());
         C.Shared = Opts.Shared;
       }
-      // SCC-scheduled parallel mode: only for per-run caches (a warm
-      // external cache is mutated by its owner between calls, which the
-      // workers' frozen-tier layering cannot see) and defined entries.
-      // Constructed after the Context so its Env copies the pre-primed
-      // constants; destroyed (joining its workers) on any unwind.
-      std::optional<SccSpeculation> Spec;
-      if (Opts.SolverThreads > 1 && Owned && Prog->defines(Entry)) {
-        SccSpeculation::Env WEnv;
-        WEnv.Norm = Norm;
-        WEnv.Norm.Cancel = nullptr; // workers arm their own signals
-        WEnv.Widen = Widen;
-        WEnv.Widen.Cancel = nullptr;
-        WEnv.Widen.Database = nullptr; // workers re-point at their copies
-        WEnv.Database = Database;
-        WEnv.ConstProto = *C.Consts;
-        WEnv.SharedOps = Shared ? Shared->ops() : nullptr;
-        WEnv.SharedAnchor = Opts.Shared;
-        SccSolveOptions SOpts;
-        SOpts.SolverThreads = Opts.SolverThreads;
-        SOpts.MaxConeDepth = Opts.SolverConeDepth;
-        Spec.emplace(NProg, CG, Syms, Entry, EngOpts, C, *Owned, Syms,
-                     std::move(WEnv), SOpts);
-      }
-      runWithLeaf<TypeLeaf>(R, C, Syms, *Prog, NProg, *Pattern, EngOpts,
-                            Spec ? &*Spec : nullptr);
-      if (Spec) {
-        SccSolveStats SS = Spec->finish();
-        R.Stats.SccCount = SS.SccCount;
-        R.Stats.SccParallelism = SS.SccParallelism;
-        R.Stats.SccFallbackSolves = SS.SccFallbackSolves;
-      }
+      runWithLeaf<TypeLeaf>(R, C, Syms, *Prog, NProg, *Pattern, EngOpts);
       if (Ops) {
         R.Stats.OpCacheHits = Ops->stats().Hits;
         R.Stats.OpCacheMisses = Ops->stats().Misses;

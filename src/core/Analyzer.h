@@ -110,26 +110,6 @@ struct AnalyzerOptions {
   /// Fail = FailKind::Cancelled. One token may cover a whole wave of
   /// jobs.
   std::shared_ptr<const CancelToken> Cancel;
-  /// Solver threads for the SCC-scheduled parallel mode
-  /// (gaia/SccScheduler.h): 1 (the default) runs the classic sequential
-  /// solve; N > 1 runs it too — the sequential engine stays the
-  /// bit-identity oracle — plus N-1 speculative workers solving the
-  /// entry's call-cone components bottom-up and feeding the parent
-  /// exact cache deltas and adoptable memo packs. Output grammars, tag
-  /// tables and the semantic fingerprint are identical at any setting;
-  /// only wall-clock and the work counters (proc=/clause=) change.
-  /// Effective only for DomainKind::TypeGraphs with UseOpCache on a
-  /// per-run cache (the warm/external-cache path ignores it).
-  uint32_t SolverThreads = 1;
-  /// Test hook for the parallel mode's escape hatch: speculate only
-  /// predicates within this many call edges of the entry, so demands
-  /// beyond the truncated cone exercise the sequential fallback
-  /// (EngineStats::SccFallbackSolves). ~0u = whole cone (production).
-  uint32_t SolverConeDepth = ~0u;
-  /// Pre-size the engine's memo structures from the entry's static call
-  /// cone (EngineOptions::ExpectedEntries). Off reproduces the grow-by-
-  /// rehash behavior for the allocation A/B in bench/parallel_solve.
-  bool ReserveFromCallCone = true;
 };
 
 /// One analyzed argument position.

@@ -142,18 +142,14 @@ std::string gaia::formatQueryResult(const AnalysisResult &R,
   return Out;
 }
 
-/// Shared body of the two fingerprints; \p WithWorkCounters selects
-/// whether the proc=/clause= iteration counts join the header line.
-static std::string fingerprintBody(const AnalysisResult &R,
-                                   bool WithWorkCounters) {
+std::string gaia::analysisFingerprint(const AnalysisResult &R) {
   std::string Out;
   Out += "ok=" + std::to_string(R.Ok) +
          " conv=" + std::to_string(R.Converged) +
-         " succeeds=" + std::to_string(R.QuerySucceeds);
-  if (WithWorkCounters)
-    Out += " proc=" + std::to_string(R.Stats.ProcedureIterations) +
-           " clause=" + std::to_string(R.Stats.ClauseIterations);
-  Out += " patterns=" + std::to_string(R.Stats.InputPatterns) + "\n";
+         " succeeds=" + std::to_string(R.QuerySucceeds) +
+         " proc=" + std::to_string(R.Stats.ProcedureIterations) +
+         " clause=" + std::to_string(R.Stats.ClauseIterations) +
+         " patterns=" + std::to_string(R.Stats.InputPatterns) + "\n";
   for (const TypeGraph &G : R.QueryOutput)
     Out += "out: " + printGrammarInline(G, *R.Syms) + "\n";
   for (const PredicateSummary &S : R.Summaries) {
@@ -167,12 +163,4 @@ static std::string fingerprintBody(const AnalysisResult &R,
              printGrammarInline(S.Output[I].Graph, *R.Syms) + "\n";
   }
   return Out;
-}
-
-std::string gaia::analysisFingerprint(const AnalysisResult &R) {
-  return fingerprintBody(R, /*WithWorkCounters=*/true);
-}
-
-std::string gaia::analysisSemanticFingerprint(const AnalysisResult &R) {
-  return fingerprintBody(R, /*WithWorkCounters=*/false);
 }

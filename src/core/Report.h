@@ -72,16 +72,6 @@ std::string formatQueryResult(const AnalysisResult &R,
 /// which legitimately differ run to run.
 std::string analysisFingerprint(const AnalysisResult &R);
 
-/// analysisFingerprint minus the proc=/clause= work counters — the
-/// identity contract of the SCC-scheduled parallel mode
-/// (gaia/SccScheduler.h). Adopting a speculative pack skips the
-/// iterations that would have computed it, so ProcedureIterations and
-/// ClauseIterations legitimately differ across SolverThreads settings;
-/// everything else — convergence, query grammars, pattern and tuple
-/// counts, every summary grammar and tag — must stay bit-identical
-/// (tests/SccSchedulerTest.cpp and bench/parallel_solve.cpp gate this).
-std::string analysisSemanticFingerprint(const AnalysisResult &R);
-
 } // namespace gaia
 
 #endif // GAIA_CORE_REPORT_H

@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 
 namespace gaia {
@@ -67,12 +66,6 @@ struct EngineOptions {
   /// handler. Null = never cancelled. Non-owning: the pointee must
   /// outlive the engine run.
   const CancelSignal *Cancel = nullptr;
-  /// Expected memo-table size, typically derived from the entry's
-  /// static call cone (the SCC pass computes the cone anyway). When
-  /// nonzero the engine pre-sizes Entries/ByPred/ByKey/Stack instead of
-  /// growing them through repeated reallocation on the solve hot path.
-  /// 0 = no reserve (the pre-reserve behavior, kept for A/B runs).
-  size_t ExpectedEntries = 0;
 };
 
 /// Process-global GAIA_TRACE flag, computed once. Engines used to call
@@ -133,65 +126,10 @@ struct EngineStats {
   uint64_t PfSetHits = 0;
   uint64_t PfSetMisses = 0;
   uint64_t PfSetSharedHits = 0;
-  /// SCC-scheduled parallel mode (gaia/SccScheduler.h), zero for
-  /// sequential runs: strongly-connected components in the entry's
-  /// static call cone, the peak number of concurrently busy speculation
-  /// workers, and the demands the parent thread solved inline because
-  /// they fell outside the speculated cone (the escape hatch).
-  uint32_t SccCount = 0;
-  uint32_t SccParallelism = 0;
-  uint64_t SccFallbackSolves = 0;
   double pfSetHitRate() const {
     uint64_t Total = PfSetHits + PfSetMisses + PfSetSharedHits;
     return Total ? double(PfSetHits + PfSetSharedHits) / double(Total) : 0.0;
   }
-};
-
-/// Hint channel of the SCC-scheduled parallel mode. The engine stays a
-/// strictly sequential algorithm; a hint provider (gaia/SccScheduler.h)
-/// may accelerate it through exactly two result-preserving seams:
-///
-///   - atCheckpoint(): called at the same per-round checkpoints the
-///     cancellation poll uses. The provider absorbs speculative workers'
-///     exact op-cache deltas here; by the cache-exactness invariant this
-///     can only turn misses into hits, never change a result.
-///   - tryAdopt(): called when solveCall is about to create the memo
-///     entry (Pred, In). The provider may hand back a *pack* — the full
-///     memo table of a finished from-empty solve of exactly (Pred, In),
-///     in creation order — under a guard (checked via \p Fresh) that
-///     makes installing it byte-equivalent to the compute the engine
-///     would otherwise run (see DESIGN.md "Intra-analysis parallelism").
-///
-/// All calls happen on the engine's own thread.
-template <typename Leaf> class EngineHints {
-public:
-  using Sub = PatSub<Leaf>;
-  /// One adoptable memo entry; packs list them in creation order with
-  /// the solved root first.
-  struct PackEntry {
-    FunctorId Pred = InvalidFunctor;
-    Sub In = Sub::bottom(0);
-    Sub Out = Sub::bottom(0);
-  };
-
-  virtual ~EngineHints() = default;
-  virtual void atCheckpoint() {}
-  /// \p Fresh reports whether the engine has no memo entry at all for a
-  /// predicate (the adoption guard must hold for every predicate a pack
-  /// touches, including \p Pred itself). On success fills \p Out and
-  /// returns true.
-  virtual bool tryAdopt(FunctorId Pred, const Sub &In,
-                        const std::function<bool(FunctorId)> &Fresh,
-                        std::vector<PackEntry> &Out) {
-    (void)Pred;
-    (void)In;
-    (void)Fresh;
-    (void)Out;
-    return false;
-  }
-  /// The engine created (Pred, In) inline — either no pack covered it
-  /// or the guard failed. Lets the provider count escape-hatch solves.
-  virtual void noteInlineEntry(FunctorId Pred) { (void)Pred; }
 };
 
 template <typename Leaf> class Engine {
@@ -208,20 +146,7 @@ public:
 
   Engine(const NProgram &Prog, const Ctx &C,
          const EngineOptions &Opts = {})
-      : Prog(Prog), C(C), Opts(Opts), Trace(engineTraceEnabled()) {
-    if (Opts.ExpectedEntries != 0) {
-      // Pre-size the memo structures from the call-cone estimate so the
-      // solve loop does not grow them through repeated reallocation.
-      Entries.reserve(Opts.ExpectedEntries);
-      ByPred.reserve(Opts.ExpectedEntries);
-      ByKey.reserve(Opts.ExpectedEntries);
-      Stack.reserve(Opts.ExpectedEntries);
-    }
-  }
-
-  /// Installs the parallel mode's hint provider (null = sequential, the
-  /// default). Non-owning; the provider must outlive the solve.
-  void setHints(EngineHints<Leaf> *H) { Hints = H; }
+      : Prog(Prog), C(C), Opts(Opts), Trace(engineTraceEnabled()) {}
 
   /// Analyzes the query \p Pred with input pattern \p In (one slot per
   /// argument) and returns the output pattern.
@@ -256,7 +181,6 @@ private:
   };
 
   Entry *solveCall(FunctorId Pred, Sub In, Entry *Caller);
-  bool tryAdoptPack(FunctorId Pred, const Sub &In, Entry **RootOut);
   void compute(Entry *E);
   Sub analyzeClause(const NClause &Cl, const Sub &In, Entry *E);
   void invalidateDependents(Entry *Changed);
@@ -280,10 +204,6 @@ private:
   std::unordered_map<uint64_t, std::vector<Entry *>> ByKey;
   std::vector<Entry *> Stack;
   EngineStats Stats;
-  /// Parallel-mode hint provider (null for sequential runs).
-  EngineHints<Leaf> *Hints = nullptr;
-  /// Reused buffer for pack adoption (avoids a per-adoption allocation).
-  std::vector<typename EngineHints<Leaf>::PackEntry> AdoptScratch;
 };
 
 //===----------------------------------------------------------------------===//
@@ -355,8 +275,6 @@ typename Engine<Leaf>::Sub Engine<Leaf>::solve(FunctorId Pred,
   while (E->Dirty) {
     if (Opts.Cancel)
       Opts.Cancel->poll();
-    if (Hints)
-      Hints->atCheckpoint();
     if (Rounds++ >= Opts.MaxFixpointRounds) {
       abortFixpoint(E);
       break;
@@ -413,17 +331,6 @@ Engine<Leaf>::solveCall(FunctorId Pred, Sub In, Entry *Caller) {
 
   Entry *E = findEntry(Pred, In);
   if (!E) {
-    // Parallel mode: a speculative worker may already have solved
-    // exactly (Pred, In) from an empty table. Under the adoption guard
-    // installing its pack is byte-equivalent to the compute below, so
-    // the memo table (entries, creation order, cap anchors) evolves
-    // bit-identically to the sequential run — only the skipped
-    // ProcedureIterations/ClauseIterations work counters differ.
-    if (Hints && tryAdoptPack(Pred, In, &E)) {
-      if (Caller)
-        recordDep(Caller, E);
-      return E;
-    }
     Entries.push_back(std::make_unique<Entry>());
     E = Entries.back().get();
     E->Pred = Pred;
@@ -432,8 +339,6 @@ Engine<Leaf>::solveCall(FunctorId Pred, Sub In, Entry *Caller) {
     ByPred[Pred].push_back(E);
     ByKey[entryKey(Pred, E->In)].push_back(E);
     ++Stats.InputPatterns;
-    if (Hints)
-      Hints->noteInlineEntry(Pred);
     if (Trace)
       std::fprintf(stderr, "[gaia] new input pattern for %s (from %s):\n%s",
                    C.Syms.functorString(Pred).c_str(),
@@ -466,50 +371,6 @@ Engine<Leaf>::solveCall(FunctorId Pred, Sub In, Entry *Caller) {
   return E;
 }
 
-template <typename Leaf>
-bool Engine<Leaf>::tryAdoptPack(FunctorId Pred, const Sub &In,
-                                Entry **RootOut) {
-  AdoptScratch.clear();
-  auto Fresh = [this](FunctorId Q) {
-    auto It = ByPred.find(Q);
-    return It == ByPred.end() || It->second.empty();
-  };
-  if (!Hints->tryAdopt(Pred, In, Fresh, AdoptScratch) ||
-      AdoptScratch.empty())
-    return false;
-  Entry *Root = nullptr;
-  for (auto &PE : AdoptScratch) {
-    Entries.push_back(std::make_unique<Entry>());
-    Entry *E = Entries.back().get();
-    E->Pred = PE.Pred;
-    E->In = std::move(PE.In);
-    E->Out = std::move(PE.Out);
-    // Adopted entries are final: their cone reached its fixpoint in the
-    // pack's from-empty solve, and (as in a sequential run, where fully
-    // converged subtrees record no dependencies that can still change)
-    // nothing can dirty them afterwards.
-    E->Version = 1;
-    E->Computed = true;
-    E->Dirty = false;
-    ByPred[E->Pred].push_back(E);
-    ByKey[entryKey(E->Pred, E->In)].push_back(E);
-    ++Stats.InputPatterns;
-    if (!Root)
-      Root = E; // packs list the solved root first
-  }
-  AdoptScratch.clear();
-  assert(Root->Pred == Pred && Sub::equal(C, Root->In, In) &&
-         "pack root must be the entry being created");
-  (void)Pred;
-  (void)In;
-  if (Trace)
-    std::fprintf(stderr, "[gaia] adopted pack for %s (%zu entries)\n",
-                 C.Syms.functorString(Root->Pred).c_str(),
-                 Entries.size());
-  *RootOut = Root;
-  return true;
-}
-
 template <typename Leaf> void Engine<Leaf>::compute(Entry *E) {
   const NProcedure *Proc = Prog.find(E->Pred);
   assert(Proc && "solveCall must only be used for defined predicates");
@@ -520,8 +381,6 @@ template <typename Leaf> void Engine<Leaf>::compute(Entry *E) {
   while (true) {
     if (Opts.Cancel)
       Opts.Cancel->poll();
-    if (Hints)
-      Hints->atCheckpoint();
     E->Dirty = false;
     E->UsedRecursively = false;
     // Unlink the reverse edges of the previous pass before rebuilding

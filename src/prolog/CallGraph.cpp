@@ -3,7 +3,6 @@
 #include "prolog/CallGraph.h"
 
 #include <algorithm>
-#include <cassert>
 #include <set>
 
 using namespace gaia;
@@ -92,81 +91,4 @@ CallGraph::stronglyConnectedComponents() const {
     if (!IndexOf.count(P))
       StrongConnect(P);
   return SCCs;
-}
-
-Condensation CallGraph::condense() const {
-  Condensation C;
-  C.Sccs = stronglyConnectedComponents();
-  for (uint32_t I = 0; I != C.Sccs.size(); ++I)
-    for (FunctorId P : C.Sccs[I])
-      C.SccOf.emplace(P, I);
-  C.CalleeSccs.resize(C.Sccs.size());
-  C.CallerSccs.resize(C.Sccs.size());
-  for (uint32_t I = 0; I != C.Sccs.size(); ++I) {
-    std::set<uint32_t> Seen;
-    for (FunctorId P : C.Sccs[I])
-      for (FunctorId Q : callees(P)) {
-        uint32_t J = C.SccOf.at(Q);
-        if (J != I && Seen.insert(J).second) {
-          // Tarjan emits callees first, so cross edges always point at
-          // earlier components — the property the reverse-topological
-          // ready-count dispatch rests on.
-          assert(J < I && "condensation edge against reverse-topo order");
-          C.CalleeSccs[I].push_back(J);
-          C.CallerSccs[J].push_back(I);
-        }
-      }
-    std::sort(C.CalleeSccs[I].begin(), C.CalleeSccs[I].end());
-  }
-  return C;
-}
-
-std::vector<uint32_t> Condensation::initialReadyCounts() const {
-  std::vector<uint32_t> Counts(Sccs.size());
-  for (uint32_t I = 0; I != Sccs.size(); ++I)
-    Counts[I] = static_cast<uint32_t>(CalleeSccs[I].size());
-  return Counts;
-}
-
-std::vector<uint32_t> Condensation::readyOrder() const {
-  std::vector<uint32_t> Counts = initialReadyCounts();
-  std::vector<bool> Done(Sccs.size(), false);
-  std::vector<uint32_t> Order;
-  Order.reserve(Sccs.size());
-  for (size_t Step = 0; Step != Sccs.size(); ++Step) {
-    uint32_t Pick = ~0u;
-    for (uint32_t I = 0; I != Sccs.size(); ++I)
-      if (!Done[I] && Counts[I] == 0) {
-        Pick = I;
-        break;
-      }
-    assert(Pick != ~0u && "ready-count dispatch stalled on a DAG");
-    Done[Pick] = true;
-    Order.push_back(Pick);
-    for (uint32_t Caller : CallerSccs[Pick]) {
-      assert(Counts[Caller] != 0 && "ready-count underflow");
-      --Counts[Caller];
-    }
-  }
-  return Order;
-}
-
-std::vector<FunctorId> CallGraph::reachableFrom(FunctorId Entry,
-                                                uint32_t MaxDepth) const {
-  std::vector<FunctorId> Out;
-  if (Callees.find(Entry) == Callees.end())
-    return Out;
-  std::set<FunctorId> Seen{Entry};
-  // BFS so the depth cut is by call distance from the entry.
-  std::vector<std::pair<FunctorId, uint32_t>> Work{{Entry, 0}};
-  for (size_t I = 0; I != Work.size(); ++I) {
-    auto [P, D] = Work[I];
-    Out.push_back(P);
-    if (D >= MaxDepth)
-      continue;
-    for (FunctorId Q : callees(P))
-      if (Seen.insert(Q).second)
-        Work.push_back({Q, D + 1});
-  }
-  return Out;
 }

@@ -1,19 +1,10 @@
-//===- prolog/CallGraph.h - Static call graph, SCCs, condensation ---------==//
+//===- prolog/CallGraph.h - Static call graph and its SCCs ----------------==//
 ///
 /// \file
-/// The static call graph over a program's user-defined predicates, with
-/// the derived structures two clients consume:
-///
-///   - prolog/Metrics.h: Tarjan SCCs for the Table 2 recursion
-///     classification and the static call-tree size of Table 1;
-///   - gaia/SccScheduler.h: the SCC *condensation* — the DAG of
-///     strongly-connected components in reverse topological order, with
-///     ready counts — which schedules the speculative workers of the
-///     intra-analysis parallel mode (one SCC becomes ready when every
-///     SCC it calls has stabilized).
-///
-/// The SCC code used to live inside Metrics.cpp; it is hoisted here so
-/// there is exactly one implementation under test for both clients.
+/// The static call graph over a program's user-defined predicates and
+/// its Tarjan SCCs. prolog/Metrics.h is its client: the callee lists
+/// give Table 1's static call-tree size, and the SCCs give Table 2's
+/// recursion classification.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,35 +27,6 @@ void forEachUserCall(const Term &Goal, const Program &Prog,
                      SymbolTable &Syms,
                      const std::function<void(FunctorId)> &OnCall);
 
-/// The SCC condensation of a call graph: components in *reverse
-/// topological order* (Tarjan emits every component after the
-/// components it calls, so CalleeSccs[I] only ever names indices < I),
-/// plus the edge lists and ready counts the scheduler's ready-count
-/// dispatch runs on.
-struct Condensation {
-  /// Components in reverse topological order; each lists its member
-  /// predicates in Tarjan pop order (deterministic for a given program).
-  std::vector<std::vector<FunctorId>> Sccs;
-  /// Predicate -> index into Sccs.
-  std::unordered_map<FunctorId, uint32_t> SccOf;
-  /// Distinct cross-component callee edges (indices < own index).
-  std::vector<std::vector<uint32_t>> CalleeSccs;
-  /// Reverse edges: the components that call this one.
-  std::vector<std::vector<uint32_t>> CallerSccs;
-
-  /// Ready-count seed for the scheduler: component I may be dispatched
-  /// once initialReadyCounts()[I] completions have been observed among
-  /// CalleeSccs[I].
-  std::vector<uint32_t> initialReadyCounts() const;
-
-  /// Deterministic single-consumer simulation of the ready-count
-  /// schedule (lowest ready index first). Used by tests to pin the
-  /// scheduling properties: the result is a permutation of all
-  /// components in which every component appears after all of its
-  /// callee components.
-  std::vector<uint32_t> readyOrder() const;
-};
-
 /// The static call graph: for each procedure, the set of user-defined
 /// predicates its bodies call (including calls under \+, ; and ->).
 class CallGraph {
@@ -77,17 +39,6 @@ public:
   /// Strongly connected components in reverse topological order
   /// (Tarjan). Each component lists its member predicates.
   std::vector<std::vector<FunctorId>> stronglyConnectedComponents() const;
-
-  /// The full condensation (SCC DAG + ready counts).
-  Condensation condense() const;
-
-  /// Predicates reachable from \p Entry (inclusive, when defined) in
-  /// call-graph edge order, cut at \p MaxDepth edges from the entry
-  /// (the parallel mode's test hook for simulating demands that escape
-  /// the speculated cone). The result is closed under callees when
-  /// MaxDepth is unbounded.
-  std::vector<FunctorId> reachableFrom(FunctorId Entry,
-                                       uint32_t MaxDepth = ~0u) const;
 
 private:
   std::vector<FunctorId> Preds;

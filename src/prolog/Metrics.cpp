@@ -55,8 +55,14 @@ SizeMetrics gaia::computeSizeMetrics(const Program &Prog,
 
 RecursionMetrics gaia::classifyRecursion(const Program &Prog,
                                          SymbolTable &Syms) {
-  RecursionMetrics M;
   CallGraph CG(Prog, Syms);
+  return classifyRecursion(Prog, Syms, CG);
+}
+
+RecursionMetrics gaia::classifyRecursion(const Program &Prog,
+                                         SymbolTable &Syms,
+                                         const CallGraph &CG) {
+  RecursionMetrics M;
 
   // Predicates in SCCs of size > 1 are mutually recursive.
   std::set<FunctorId> Mutual;

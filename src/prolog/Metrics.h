@@ -40,8 +40,8 @@ struct RecursionMetrics {
   uint32_t NonRecursive = 0;
 };
 
-// CallGraph (with SCCs and the scheduler-facing condensation) lives in
-// prolog/CallGraph.h; Metrics is one of its two clients.
+// CallGraph (the static call graph and its SCCs) lives in
+// prolog/CallGraph.h; both tables below are computed from it.
 
 /// Computes the Table 1 metrics. \p Entry is the benchmark's top-level
 /// predicate (the root of the static call tree).
@@ -49,14 +49,19 @@ SizeMetrics computeSizeMetrics(const Program &Prog, const NProgram &NProg,
                                SymbolTable &Syms, FunctorId Entry);
 
 /// Overload for callers that already built the call graph (the analyzer
-/// builds one anyway for the engine's call-cone reserve and the
-/// parallel scheduler); identical results, one construction.
+/// builds one per analysis and shares it with classifyRecursion);
+/// identical results, one construction.
 SizeMetrics computeSizeMetrics(const Program &Prog, const NProgram &NProg,
                                SymbolTable &Syms, FunctorId Entry,
                                const CallGraph &CG);
 
 /// Computes the Table 2 classification.
 RecursionMetrics classifyRecursion(const Program &Prog, SymbolTable &Syms);
+
+/// Overload for callers that already built the call graph; identical
+/// results, one construction.
+RecursionMetrics classifyRecursion(const Program &Prog, SymbolTable &Syms,
+                                   const CallGraph &CG);
 
 } // namespace gaia
 

@@ -1,15 +1,19 @@
 //===- tests/NormalizeMetricsTest.cpp - Normalization & metrics tests -----==//
 ///
 /// \file
-/// Tests for clause normalization (the GAIA primitive-operation form)
-/// and the Table 1/2 program metrics.
+/// Tests for clause normalization (the GAIA primitive-operation form),
+/// the Table 1/2 program metrics and the call graph's SCCs behind them.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "programs/Benchmarks.h"
+#include "prolog/CallGraph.h"
 #include "prolog/Metrics.h"
 #include "prolog/Normalize.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace gaia;
 
@@ -236,6 +240,68 @@ TEST_F(MetricsTest, SCCsAreComputed) {
     (S.size() > 1 ? Big : Single) += 1;
   EXPECT_EQ(Big, 1u);
   EXPECT_EQ(Single, 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// CallGraph SCCs.
+//===----------------------------------------------------------------------===//
+
+class CallGraphTest : public ::testing::Test {
+protected:
+  void load(const char *Src) {
+    std::string Err;
+    std::optional<Program> P = Program::parse(Src, Syms, &Err);
+    ASSERT_TRUE(P.has_value()) << Err;
+    Prog = *P;
+  }
+
+  FunctorId fn(const char *Name, uint32_t Arity) {
+    return Syms.functor(Name, Arity);
+  }
+
+  SymbolTable Syms;
+  Program Prog;
+};
+
+constexpr const char *MutualSrc = R"(
+a(X) :- b(X).
+b(X) :- c(X), d(X).
+c(X) :- b(X).
+c(0).
+d(1).
+e(X) :- e(X).
+)";
+
+TEST_F(CallGraphTest, PinnedSccs) {
+  load(MutualSrc);
+  CallGraph CG(Prog, Syms);
+  auto Sccs = CG.stronglyConnectedComponents();
+  // Tarjan emits callees first: {b,c} before a; d before the {b,c}
+  // caller-side pop order is not pinned here, only the component sets.
+  std::set<std::set<FunctorId>> Got;
+  for (const auto &S : Sccs)
+    Got.insert(std::set<FunctorId>(S.begin(), S.end()));
+  std::set<std::set<FunctorId>> Want = {
+      {fn("a", 1)}, {fn("b", 1), fn("c", 1)}, {fn("d", 1)}, {fn("e", 1)}};
+  EXPECT_EQ(Got, Want);
+}
+
+TEST_F(CallGraphTest, SccsConsistentWithRecursionClassifier) {
+  // The SCCs and the Table 2 classifier must agree: a predicate is in a
+  // size->1 SCC iff the classifier calls it mutually recursive.
+  for (const BenchmarkProgram &B : table123Suite()) {
+    SymbolTable S;
+    std::string Err;
+    std::optional<Program> P = Program::parse(B.Source, S, &Err);
+    ASSERT_TRUE(P.has_value()) << B.Key << ": " << Err;
+    CallGraph CG(*P, S);
+    uint32_t InBigScc = 0;
+    for (const auto &Scc : CG.stronglyConnectedComponents())
+      if (Scc.size() > 1)
+        InBigScc += static_cast<uint32_t>(Scc.size());
+    RecursionMetrics M = classifyRecursion(*P, S);
+    EXPECT_EQ(InBigScc, M.MutuallyRecursive) << B.Key;
+  }
 }
 
 } // namespace

@@ -63,21 +63,6 @@ over the real sources:
                            joining would block the watchdog on the very
                            thread it is declaring stuck (suppressed with
                            that justification).
-  engine-shared-state      the intra-analysis parallel engine
-                           (src/gaia/SccScheduler*) has exactly one
-                           sanctioned communication shape: workers
-                           publish through the mutex-guarded queue, the
-                           parent consumes. Two shapes break it
-                           silently: (a) a mutable static (namespace,
-                           function or class scope) that is not
-                           const/constexpr/atomic -- shared by every
-                           worker with no lock; (b) a thread-entry
-                           lambda that touches a non-synchronized data
-                           member without taking a lock -- state the
-                           single-consumer ownership argument never
-                           covers. Entry lambdas must delegate to a
-                           member function (`[this] { workerLoop(); }`)
-                           or touch only atomics / lock-guarded state.
 
 plus two meta-rules over the suppression file itself:
 
@@ -131,20 +116,6 @@ WORKER_BANNED_CALLS = ("abort", "exit", "_exit", "_Exit", "quick_exit",
 # preceded by one of these is a declarator shape and is exempt.
 WORKER_DECL_PRECEDERS = ("void", "int", "auto", "bool", "char", "unsigned",
                          "signed", "long", "short", "float", "double")
-# Path *prefixes* (not directories: they name a file stem) holding the
-# intra-analysis parallel engine; the engine-shared-state rule runs only
-# there. Headers declare the members, the TU spawns the threads, so the
-# rule is checked across all matching files together.
-DEFAULT_ENGINE_PATHS = ("src/gaia/SccScheduler",)
-# A data member whose declaration names one of these is its own
-# synchronization (or the synchronization primitive itself) and is a
-# legitimate thing for a thread-entry lambda to touch.
-ENGINE_SYNC_MEMBER_TOKENS = ("atomic", "mutex", "condition_variable",
-                             "shared_mutex", "once_flag", "thread")
-# A lambda body containing one of these is taking a lock; what it
-# touches under that lock is the mutex's business, not the linter's.
-ENGINE_LOCK_TOKENS = ("lock_guard", "unique_lock", "scoped_lock",
-                      "shared_lock")
 
 
 @dataclass
@@ -930,137 +901,6 @@ def check_banned_tokens(file, toks, findings):
         i += 1
 
 
-def check_mutable_statics(file, toks, findings):
-    """Non-const/constexpr/atomic `static` variables at any scope in the
-    parallel engine: every worker shares them with no lock."""
-    n = len(toks)
-    i = 0
-    while i < n:
-        t = toks[i]
-        if t.kind != "id" or t.text != "static":
-            i += 1
-            continue
-        # Collect the declaration head up to its initializer or
-        # terminator; a parameter list before that makes it a function
-        # (whose body is still scanned for local statics).
-        head = []
-        is_func = False
-        j = i + 1
-        while j < n and toks[j].text not in (";", "=", "{"):
-            if toks[j].text == "<":
-                j = skip_template_args(toks, j)
-                continue
-            if toks[j].text == "(":
-                is_func = True
-                j = match_paren(toks, j) + 1
-                continue
-            head.append(toks[j])
-            j += 1
-        texts = [h.text for h in head]
-        synchronized = any(s in texts for s in ("const", "constexpr")
-                           + ENGINE_SYNC_MEMBER_TOKENS)
-        if not is_func and not synchronized:
-            name = next((h.text for h in reversed(head) if h.kind == "id"),
-                        None)
-            if name:
-                findings.append(Finding(
-                    "engine-shared-state", file, t.line, name,
-                    f"mutable static `{name}` in the parallel engine: "
-                    "every solver worker shares it with no lock; make it "
-                    "const/std::atomic, or route it through the published "
-                    "queue like all other worker->parent traffic"))
-        i = j + 1
-    return findings
-
-
-def check_engine_shared_state(engine_files, toks_by_file, classes_by_file,
-                              findings):
-    """Thread-entry lambdas in the parallel engine may only delegate to a
-    member function or touch synchronized state. The member roster comes
-    from every engine file (the header declares, the TU spawns)."""
-    unsync = {}
-    for f in engine_files:
-        for c in classes_by_file[f]:
-            for m in c.members:
-                if is_function_member(m) or is_using_or_friend(m) \
-                        or is_static(m) or not m.toks:
-                    continue
-                txts = member_texts(m)
-                if any(s in txts for s in ENGINE_SYNC_MEMBER_TOKENS):
-                    continue
-                if "const" in txts or "constexpr" in txts:
-                    continue
-                name = None
-                for t in reversed(m.toks):
-                    if t.kind == "id":
-                        name = t.text
-                        break
-                if name:
-                    unsync[name] = c.name
-    for f in engine_files:
-        toks = toks_by_file[f]
-        check_mutable_statics(f, toks, findings)
-        n = len(toks)
-        i = 0
-        while i < n:
-            t = toks[i]
-            spawns = False
-            if t.kind == "id" and t.text == "thread":
-                spawns = True  # std::thread W(<lambda>)
-            elif t.kind == "id" and t.text in ("emplace_back", "push_back") \
-                    and i >= 2 and toks[i - 1].text == "." \
-                    and toks[i - 2].kind == "id" \
-                    and "thread" in toks[i - 2].text.lower():
-                spawns = True  # Threads.emplace_back(<lambda>)
-            if not spawns:
-                i += 1
-                continue
-            # The argument list opens within a couple of tokens
-            # (optionally a variable name for std::thread W(...)).
-            j = i + 1
-            hops = 0
-            while j < n and toks[j].text != "(" and hops < 2:
-                j += 1
-                hops += 1
-            if j >= n or toks[j].text != "(":
-                i += 1
-                continue
-            close = match_paren(toks, j)
-            k = j
-            while k < close and toks[k].text != "[":
-                k += 1
-            while k < close and toks[k].text != "]":
-                k += 1
-            while k < close and toks[k].text != "{":
-                if toks[k].text == "(":
-                    k = match_paren(toks, k) + 1
-                    continue
-                k += 1
-            if k >= close:
-                i = close + 1
-                continue
-            body_end = match_brace(toks, k)
-            body = toks[k + 1 : body_end]
-            if any(b.kind == "id" and b.text in ENGINE_LOCK_TOKENS
-                   for b in body):
-                i = body_end + 1
-                continue
-            reported = set()
-            for b in body:
-                if b.kind == "id" and b.text in unsync \
-                        and b.text not in reported:
-                    reported.add(b.text)
-                    findings.append(Finding(
-                        "engine-shared-state", f, b.line, b.text,
-                        f"thread-entry lambda touches "
-                        f"{unsync[b.text]}::{b.text}, a non-synchronized "
-                        "data member, without taking a lock; the "
-                        "single-consumer ownership argument does not "
-                        "cover it -- delegate to a member function, use "
-                        "an atomic, or publish through the guarded queue"))
-            i = body_end + 1
-
-
 # ---------------------------------------------------------------------------
 # Suppressions
 # ---------------------------------------------------------------------------
@@ -1147,16 +987,7 @@ def in_hot_path(file, hot_paths):
                for hp in hot_paths)
 
 
-def in_engine_path(file, engine_paths):
-    """Engine paths are file-stem prefixes (src/gaia/SccScheduler
-    matches both the .h and the .cpp), or directories in fixture runs."""
-    norm = file.replace(os.sep, "/")
-    return any(("/" + ep.strip("/")) in norm or
-               norm.startswith(ep.strip("/"))
-               for ep in engine_paths)
-
-
-def lint_files(files, hot_paths, reloc_paths, worker_paths, engine_paths):
+def lint_files(files, hot_paths, reloc_paths, worker_paths):
     findings = []
     toks_by_file = {}
     classes_by_file = {}
@@ -1189,9 +1020,6 @@ def lint_files(files, hot_paths, reloc_paths, worker_paths, engine_paths):
     worker_files = [f for f in files if in_hot_path(f, worker_paths)]
     check_unjoined_thread_members(worker_files, toks_by_file,
                                   classes_by_file, findings)
-    engine_files = [f for f in files if in_engine_path(f, engine_paths)]
-    check_engine_shared_state(engine_files, toks_by_file, classes_by_file,
-                              findings)
     return findings
 
 
@@ -1222,12 +1050,6 @@ def main(argv=None):
                     help="directory (repo-relative) where the "
                          "worker-noexcept rule applies; default: "
                          + ", ".join(DEFAULT_WORKER_PATHS))
-    ap.add_argument("--engine-path", action="append", default=[],
-                    metavar="PREFIX",
-                    help="path prefix (repo-relative file stem or "
-                         "directory) where the engine-shared-state rule "
-                         "applies; default: "
-                         + ", ".join(DEFAULT_ENGINE_PATHS))
     ap.add_argument("--json", metavar="OUT",
                     help="write a JSON report to OUT")
     args = ap.parse_args(argv)
@@ -1240,14 +1062,12 @@ def main(argv=None):
     hot_paths = args.hot_path or list(DEFAULT_HOT_PATHS)
     reloc_paths = args.reloc_path or list(DEFAULT_RELOC_PATHS)
     worker_paths = args.worker_path or list(DEFAULT_WORKER_PATHS)
-    engine_paths = args.engine_path or list(DEFAULT_ENGINE_PATHS)
     files = args.files if args.files else files_from_compdb(args.compdb)
     if not files:
         print("gaia-lint: no files to lint", file=sys.stderr)
         return 2
 
-    findings = lint_files(files, hot_paths, reloc_paths, worker_paths,
-                          engine_paths)
+    findings = lint_files(files, hot_paths, reloc_paths, worker_paths)
 
     meta_findings = []
     sups = load_suppressions(args.suppressions, meta_findings)
