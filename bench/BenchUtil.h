@@ -15,7 +15,7 @@
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
 #include "programs/PaperData.h"
-#include "runtime/AnalysisPool.h"
+#include "runtime/AnalysisService.h"
 
 #include <cstdio>
 #include <functional>
@@ -98,17 +98,19 @@ inline std::string jsonEscape(const std::string &S) {
   return Out;
 }
 
-/// One queue-free capacity measurement: \p Workers pool threads driving
-/// \p St.JobsPerSecond over a pre-warmed tier with no admission queue in
-/// front — the raw compute ceiling the service's load multiples are
-/// derived from.
+/// One queue-free capacity measurement: \p Workers service threads
+/// driving \p St.JobsPerSecond over a pre-warmed tier with the whole
+/// batch admitted at once, so no submission ever waits for queue space
+/// — the raw compute ceiling the service's load multiples are derived
+/// from.
 struct CapacityPoint {
   uint32_t Workers = 0;
   BatchStats St;
 };
 
 /// Measures queue-free batch capacity at each worker count: one untimed
-/// settle wave (OS thread placement) then one timed wave per count.
+/// settle wave (OS thread placement) then one timed wave per count, each
+/// a runBatch wave on a service sized to hold the whole batch.
 /// \p Verify, when set, receives every timed wave's outcomes for
 /// oracle/fingerprint checking.
 inline std::vector<CapacityPoint> measureQueueFreeCapacity(
@@ -119,14 +121,15 @@ inline std::vector<CapacityPoint> measureQueueFreeCapacity(
         &Verify = {}) {
   std::vector<CapacityPoint> Points;
   for (uint32_t Workers : WorkerCounts) {
-    PoolOptions PO;
-    PO.Workers = Workers;
-    PO.Shared = Cache;
-    AnalysisPool Pool(PO);
-    Pool.run(Batch);
+    ServiceOptions SO;
+    SO.Workers = Workers;
+    SO.QueueCapacity = static_cast<uint32_t>(Batch.size());
+    SO.Shared = Cache;
+    AnalysisService Svc(SO);
+    runBatch(Svc, Batch);
     CapacityPoint P;
     P.Workers = Workers;
-    std::vector<JobOutcome> Out = Pool.run(Batch, &P.St);
+    std::vector<JobOutcome> Out = runBatch(Svc, Batch, &P.St);
     if (Verify)
       Verify(Workers, Out);
     Points.push_back(std::move(P));

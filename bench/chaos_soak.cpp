@@ -3,8 +3,8 @@
 /// \file
 /// The serving runtime's chaos soak: a large batch of mixed jobs — the
 /// ten Section 9 programs x query variants, with a malformed program
-/// salted in every ~97th slot — run through AnalysisPool with the
-/// resilience ladder attached. In a -DGAIA_FAULT_INJECT=ON build with
+/// salted in every ~97th slot — run as one runBatch wave on an
+/// AnalysisService with the resilience ladder attached. In a -DGAIA_FAULT_INJECT=ON build with
 /// GAIA_FAULT_P set (CI uses 1e-3), the deterministic fault streams
 /// throw synthetic exceptions at the op-cache/normalize/intern/alloc
 /// seams; in a production build this degenerates to a clean soak of the
@@ -28,10 +28,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "runtime/AnalysisPool.h"
+#include "BenchUtil.h"
 
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
+#include "runtime/AnalysisService.h"
 #include "support/FaultInject.h"
 
 #include <cstdio>
@@ -45,56 +46,6 @@
 using namespace gaia;
 
 namespace {
-
-/// The distinct well-formed (program, goal) queries of the mix: each
-/// Section 9 program's published goal plus first-argument variants.
-std::vector<AnalysisJob> distinctQueries() {
-  std::vector<AnalysisJob> Queries;
-  for (const BenchmarkProgram &B : table123Suite()) {
-    Queries.push_back({B.Key, B.Source, B.GoalSpec});
-    for (const char *Spec : {"list", "int"}) {
-      std::string Goal = B.GoalSpec;
-      size_t Pos = Goal.find("any");
-      if (Pos == std::string::npos)
-        continue;
-      Goal.replace(Pos, 3, Spec);
-      Queries.push_back({B.Key + "#" + Spec, B.Source, Goal});
-    }
-  }
-  return Queries;
-}
-
-/// Minimal JSON string escaping (error strings can carry quotes and
-/// newlines from source excerpts).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 unsigned envUnsigned(const char *Name, unsigned Default) {
   if (const char *E = std::getenv(Name))
@@ -117,7 +68,7 @@ int main(int argc, char **argv) {
   const AnalysisJob Malformed{"malformed", "p(a).\nq(X) :- .\n", "p(any)"};
   const unsigned MalformedEvery = 97;
 
-  std::vector<AnalysisJob> Queries = distinctQueries();
+  std::vector<AnalysisJob> Queries = serviceQueryMix();
   std::vector<AnalysisJob> Batch;
   Batch.reserve(TotalJobs);
   unsigned MalformedJobs = 0;
@@ -163,16 +114,17 @@ int main(int argc, char **argv) {
   ResilienceOptions RO;
   RO.QuarantineThreshold = std::numeric_limits<uint32_t>::max();
   auto Manager = std::make_shared<ResilienceManager>(RO);
-  PoolOptions PO;
-  PO.Workers = Workers;
-  PO.Shared = Cache;
-  PO.Resilience = Manager;
-  AnalysisPool Pool(PO);
+  ServiceOptions SO;
+  SO.Workers = Workers;
+  SO.QueueCapacity = TotalJobs;
+  SO.Shared = Cache;
+  SO.Resilience = Manager;
+  AnalysisService Svc(SO);
 
   std::printf("=== chaos soak ===\n");
   std::printf("jobs: %u (%u malformed), workers: %u, fault injection: %s"
               " (GAIA_FAULT_P=%s)\n",
-              TotalJobs, MalformedJobs, Pool.workers(),
+              TotalJobs, MalformedJobs, Svc.workers(),
 #ifdef GAIA_FAULT_INJECT
               "compiled in",
 #else
@@ -181,7 +133,7 @@ int main(int argc, char **argv) {
               FaultP ? FaultP : "unset");
 
   BatchStats St;
-  std::vector<JobOutcome> Out = Pool.run(Batch, &St);
+  std::vector<JobOutcome> Out = runBatch(Svc, Batch, &St);
 
   // Invariant sweep.
   unsigned Violations = 0;
@@ -268,7 +220,7 @@ int main(int argc, char **argv) {
                  "  \"jobs_per_sec\": %.2f,\n  \"failed_jobs\": %u,\n"
                  "  \"degraded_jobs\": %u,\n  \"recovered_jobs\": %u,\n"
                  "  \"fault_fires\": %llu,\n  \"first_error\": \"%s\",\n",
-                 TotalJobs, MalformedJobs, Pool.workers(),
+                 TotalJobs, MalformedJobs, Svc.workers(),
 #ifdef GAIA_FAULT_INJECT
                  "true",
 #else

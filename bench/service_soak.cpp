@@ -36,7 +36,6 @@
 #include "BenchUtil.h"
 
 #include "core/Report.h"
-#include "runtime/AnalysisPool.h"
 #include "runtime/AnalysisService.h"
 #include "support/FaultInject.h"
 
@@ -198,11 +197,12 @@ LegResult runLeg(double Multiple, double CapacityJps, bool Chaos,
       // The lifecycle rotation must be observationally invisible: the
       // promoted tier serves the full mix bit-identically.
       *TierIdentical = true;
-      PoolOptions PO;
-      PO.Workers = C.Workers;
-      PO.Shared = Svc.tier();
-      AnalysisPool Pool(PO);
-      std::vector<JobOutcome> Out = Pool.run(Queries);
+      ServiceOptions CheckSO;
+      CheckSO.Workers = C.Workers;
+      CheckSO.QueueCapacity = static_cast<uint32_t>(Queries.size());
+      CheckSO.Shared = Svc.tier();
+      AnalysisService Check(CheckSO);
+      std::vector<JobOutcome> Out = runBatch(Check, Queries);
       for (size_t I = 0; I != Out.size(); ++I) {
         const AnalysisJob &J = Queries[I];
         if (analysisFingerprint(Out[I].Result) !=

@@ -150,18 +150,16 @@ void printTable3(const std::vector<Table3Row> &Rows) {
 
   std::printf("--- hash-consing / op-cache layer (uncapped runs) ---\n");
   std::printf("Program   opHit%%      hits    misses   graphs  "
-              "lookups  skipped   rss(KiB)  iStruct   iAuto   iMiss    "
-              "keys\n");
+              "lookups   rss(KiB)  iStruct   iAuto   iMiss    keys\n");
   for (const Table3Row &Row : Rows) {
     const EngineStats &S = Row.Base.Stats;
-    std::printf("%-8s %6.1f %9llu %9llu %8llu %8llu %8llu %10ld %8llu "
+    std::printf("%-8s %6.1f %9llu %9llu %8llu %8llu %10ld %8llu "
                 "%7llu %7llu %7llu\n",
                 Row.Key.c_str(), 100.0 * cacheHitRate(Row.Base),
                 static_cast<unsigned long long>(S.OpCacheHits),
                 static_cast<unsigned long long>(S.OpCacheMisses),
                 static_cast<unsigned long long>(S.InternedGraphs),
                 static_cast<unsigned long long>(S.EntryLookups),
-                static_cast<unsigned long long>(S.RecomputesSkipped),
                 Row.PeakRssKb,
                 static_cast<unsigned long long>(S.InternStructHits),
                 static_cast<unsigned long long>(S.InternAutoHits),
@@ -203,7 +201,7 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
         "\"intern_struct_hits\": %llu, \"intern_auto_hits\": %llu, "
         "\"intern_misses\": %llu, \"intern_keys_built\": %llu, "
         "\"entry_lookups\": %llu, \"entry_compares\": %llu, "
-        "\"recomputes_skipped\": %llu, \"peak_rss_kb\": %ld, "
+        "\"peak_rss_kb\": %ld, "
         "\"widen_invocations\": %llu, \"widen_cache_hits\": %llu, "
         "\"widen_clash_walks\": %llu, \"widen_clashes\": %llu, "
         "\"widen_cycle_introductions\": %llu, \"widen_replacements\": %llu, "
@@ -224,7 +222,6 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
         static_cast<unsigned long long>(S.InternKeysBuilt),
         static_cast<unsigned long long>(S.EntryLookups),
         static_cast<unsigned long long>(S.EntryCompares),
-        static_cast<unsigned long long>(S.RecomputesSkipped),
         Row.PeakRssKb,
         static_cast<unsigned long long>(W.Invocations),
         static_cast<unsigned long long>(W.CacheHits),

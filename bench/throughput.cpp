@@ -1,9 +1,10 @@
 //===- bench/throughput.cpp - Concurrent batch-analysis throughput --------==//
 ///
 /// \file
-/// Measures the batch runtime (runtime/AnalysisPool.h + SharedCache.h):
-/// the ten Section 9 programs x repeated query variants, run over worker
-/// pools of 1/2/4/8 threads layered on one frozen shared cache tier.
+/// Measures the batch runtime (runtime/AnalysisService.h runBatch waves
+/// over SharedCache.h): the ten Section 9 programs x repeated query
+/// variants, run on services of 1/2/4/8 worker threads layered on one
+/// frozen shared cache tier.
 /// Reports jobs/sec, scaling efficiency and shared-tier hit rates, and
 /// — the part that gates — verifies every job's result is bit-identical
 /// to a cold sequential analyzeProgram run: same procedure/clause
@@ -26,7 +27,6 @@
 
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
-#include "runtime/AnalysisPool.h"
 
 #include <cstdio>
 #include <cstdlib>

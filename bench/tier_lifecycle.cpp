@@ -2,8 +2,9 @@
 ///
 /// \file
 /// Soaks the managed tier lifecycle (runtime/TierLifecycle.h): repeated
-/// batches of the Section 9 programs x query variants over one worker
-/// pool, with a fresh per-generation "churn" program each wave so the
+/// batches of the Section 9 programs x query variants, each one runBatch
+/// wave on a 4-worker AnalysisService over the lifecycle's current tier,
+/// with a fresh per-generation "churn" program each wave so the
 /// tier keeps acquiring entries that go stale one generation later.
 /// Between batches the lifecycle promotes hot worker deltas and
 /// compacts on cadence — exactly the serving shape the budget machinery
@@ -26,6 +27,7 @@
 
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
+#include "runtime/AnalysisService.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -141,13 +143,6 @@ int main(int argc, char **argv) {
   LP.KeepGens = 1;
   TierLifecycle L(Tier0, LP);
 
-  PoolOptions PO;
-  PO.Workers = 4;
-  PO.Shared = L.current();
-  PO.CollectDeltas = true;
-  PO.DeltaMinHits = LP.PromoteMinHits;
-  AnalysisPool Pool(PO);
-
   std::printf("=== cache-tier lifecycle soak ===\n");
   std::printf("generations: %u, jobs/generation: %zu, workers: 4\n",
               Gens, Base.size() + 1);
@@ -165,10 +160,19 @@ int main(int argc, char **argv) {
     std::vector<AnalysisJob> Batch = Base;
     Batch.push_back(churnJob(G));
 
-    Pool.setShared(L.current());
     GenRun Run;
     Run.Gen = G;
-    std::vector<JobOutcome> Out = Pool.run(Batch, &Run.St);
+    std::vector<JobOutcome> Out;
+    {
+      ServiceOptions SO;
+      SO.Workers = 4;
+      SO.QueueCapacity = static_cast<uint32_t>(Batch.size());
+      SO.Shared = L.current();
+      SO.CollectDeltas = true;
+      SO.DeltaMinHits = LP.PromoteMinHits;
+      AnalysisService Svc(SO);
+      Out = runBatch(Svc, Batch, &Run.St);
+    }
     for (size_t I = 0; I != Out.size(); ++I) {
       const AnalysisJob &J = Batch[I];
       if (analysisFingerprint(Out[I].Result) !=

@@ -94,9 +94,6 @@ struct EngineStats {
   /// compared every same-predicate entry on every lookup).
   uint64_t EntryLookups = 0;
   uint64_t EntryCompares = 0;
-  /// Dirty recomputations skipped because every recorded dependency
-  /// still had its recorded version (the invalidation was spurious).
-  uint64_t RecomputesSkipped = 0;
   /// Times a fixpoint loop exhausted EngineOptions::MaxFixpointRounds
   /// and fell back to a top output. Nonzero means the result is a sound
   /// over-approximation but the analysis did not converge normally.
@@ -167,15 +164,13 @@ private:
     FunctorId Pred = InvalidFunctor;
     Sub In = Sub::bottom(0);
     Sub Out = Sub::bottom(0);
-    uint64_t Version = 0;
-    bool Computed = false;
     bool Dirty = true;
     bool OnStack = false;
     bool UsedRecursively = false;
-    /// Callee -> latest version read this pass. Hub predicates can
-    /// accumulate hundreds of dependencies; the hybrid map keeps
-    /// recordDep O(1) instead of a per-call linear scan.
-    SmallPtrMap<Entry, uint64_t> Deps;
+    /// Callees read this pass. Hub predicates can accumulate hundreds
+    /// of dependencies; the hybrid set keeps recordDep O(1) instead of a
+    /// per-call linear scan.
+    SmallPtrSet<Entry> Deps;
     /// Entries whose last pass used this one (reverse of Deps).
     SmallPtrSet<Entry> Dependents;
   };
@@ -187,7 +182,6 @@ private:
   Entry *findEntry(FunctorId Pred, const Sub &In);
   uint64_t entryKey(FunctorId Pred, const Sub &In) const;
   void recordDep(Entry *From, Entry *To);
-  bool depsUnchanged(const Entry *E) const;
   void abortFixpoint(Entry *E);
 
   const NProgram &Prog;
@@ -236,21 +230,8 @@ typename Engine<Leaf>::Entry *Engine<Leaf>::findEntry(FunctorId Pred,
 
 template <typename Leaf>
 void Engine<Leaf>::recordDep(Entry *From, Entry *To) {
-  // One Deps slot per callee, holding the latest version read. A pass
-  // that read two different versions of the same callee was dirtied in
-  // between and repeats, so only the final version matters for the
-  // depsUnchanged check.
-  bool Inserted;
-  From->Deps.lookupOrInsert(To, Inserted) = To->Version;
+  From->Deps.insert(To);
   To->Dependents.insert(From);
-}
-
-template <typename Leaf>
-bool Engine<Leaf>::depsUnchanged(const Entry *E) const {
-  for (const auto &[D, V] : E->Deps)
-    if (D->Dirty || D->Version != V)
-      return false;
-  return true;
 }
 
 template <typename Leaf> void Engine<Leaf>::abortFixpoint(Entry *E) {
@@ -259,7 +240,6 @@ template <typename Leaf> void Engine<Leaf>::abortFixpoint(Entry *E) {
   // (dirty) approximation as if final would be unsound.
   ++Stats.FixpointAborts;
   E->Out = Sub::top(C, E->In.numSlots());
-  ++E->Version;
   invalidateDependents(E);
   E->Dirty = false;
 }
@@ -277,14 +257,6 @@ typename Engine<Leaf>::Sub Engine<Leaf>::solve(FunctorId Pred,
       Opts.Cancel->poll();
     if (Rounds++ >= Opts.MaxFixpointRounds) {
       abortFixpoint(E);
-      break;
-    }
-    if (depsUnchanged(E)) {
-      // Spurious invalidation: every dependency still has the version
-      // this entry's last pass observed, so recomputing cannot change
-      // the output.
-      ++Stats.RecomputesSkipped;
-      E->Dirty = false;
       break;
     }
     compute(E);
@@ -353,19 +325,8 @@ Engine<Leaf>::solveCall(FunctorId Pred, Sub In, Entry *Caller) {
       recordDep(Caller, E);
     return E; // current approximation
   }
-  if (E->Computed && E->Dirty && depsUnchanged(E)) {
-    // Version-checked skip: the entry was invalidated transitively, but
-    // every direct dependency still carries the version its last pass
-    // used — the output cannot change, so don't recompute it.
-    ++Stats.RecomputesSkipped;
-    E->Dirty = false;
-  } else if (!E->Computed || E->Dirty) {
+  if (E->Dirty) // a new entry starts dirty
     compute(E);
-  }
-  // Record the dependency *after* the entry settles, so the version the
-  // caller stores is the version whose output it actually reads —
-  // recording before compute would make the first depsUnchanged check
-  // after any settle see a spurious mismatch.
   if (Caller)
     recordDep(Caller, E);
   return E;
@@ -385,24 +346,22 @@ template <typename Leaf> void Engine<Leaf>::compute(Entry *E) {
     E->UsedRecursively = false;
     // Unlink the reverse edges of the previous pass before rebuilding
     // Deps: a callee this pass no longer reads must not keep E in its
-    // Dependents set, or its future version bumps would keep spuriously
-    // dirtying E (and re-running the depsUnchanged scan) for the rest of
-    // the run. Dropped dependencies are common — polyvariant entries
+    // Dependents set, or its future changes would keep spuriously
+    // dirtying E (and recomputing it) for the rest of the run. Dropped dependencies are common — polyvariant entries
     // migrate as call patterns evolve along a recursion.
-    for (const auto &[Dep, Version] : E->Deps)
+    for (Entry *Dep : E->Deps)
       Dep->Dependents.erase(E);
     E->Deps.clear();
     ++Stats.ProcedureIterations;
     ++LocalRounds;
     if (Trace)
       std::fprintf(stderr,
-                   "[gaia] pass %llu: %s (entry v%llu, round %u, "
-                   "stack %zu, entries %zu)\n",
+                   "[gaia] pass %llu: %s (round %u, stack %zu, "
+                   "entries %zu)\n",
                    static_cast<unsigned long long>(
                        Stats.ProcedureIterations),
-                   C.Syms.functorString(E->Pred).c_str(),
-                   static_cast<unsigned long long>(E->Version),
-                   LocalRounds, Stack.size(), Entries.size());
+                   C.Syms.functorString(E->Pred).c_str(), LocalRounds,
+                   Stack.size(), Entries.size());
 
     Sub NewOut = Sub::bottom(E->In.numSlots());
     for (const NClause &Cl : Proc->Clauses) {
@@ -416,7 +375,6 @@ template <typename Leaf> void Engine<Leaf>::compute(Entry *E) {
     bool Changed = !Sub::leq(C, Widened, E->Out);
     if (Changed) {
       E->Out = std::move(Widened);
-      ++E->Version;
       invalidateDependents(E);
     }
     // Repeat while this entry participates in recursion and its result
@@ -432,7 +390,6 @@ template <typename Leaf> void Engine<Leaf>::compute(Entry *E) {
 
   Stack.pop_back();
   E->OnStack = false;
-  E->Computed = true;
 }
 
 template <typename Leaf>
@@ -505,9 +462,9 @@ Engine<Leaf>::analyzeClause(const NClause &Cl, const Sub &In, Entry *E) {
 template <typename Leaf>
 void Engine<Leaf>::invalidateDependents(Entry *Changed) {
   // Mark (transitively) every entry that used Changed. Transitive
-  // dependents must be marked even though the intermediate entry's
-  // version has not been bumped yet: recomputing it may change it, so
-  // anything built on it is suspect.
+  // dependents must be marked even though the intermediate entry has
+  // not changed yet: recomputing it may change it, so anything built on
+  // it is suspect.
   std::vector<Entry *> Work{Changed};
   while (!Work.empty()) {
     Entry *X = Work.back();

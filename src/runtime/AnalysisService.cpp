@@ -175,7 +175,7 @@ ServiceTicketPtr AnalysisService::trySubmit(ServiceRequest R) {
 
 ServiceTicketPtr AnalysisService::submitImpl(ServiceRequest R,
                                              bool AllowBlock) {
-  auto Ticket = std::make_shared<ServiceTicket>();
+  auto Ticket = std::make_shared<ServiceTicket>(In->Options.Opts.Cancel);
   uint32_t DeadlineMs =
       R.DeadlineMs != 0 ? R.DeadlineMs : In->Options.Opts.DeadlineMs;
 
@@ -343,7 +343,7 @@ void AnalysisService::workerLoop(std::shared_ptr<Impl> In,
 
     JobOutcome O = runContainedJob(E.Job, JobOpts,
                                    In->Options.Resilience.get(),
-                                   E.Seq * 251);
+                                   (E.Seq - 1) * 251);
     O.Worker = Slot->Index;
 
     ServiceOutcome Out;
@@ -537,4 +537,28 @@ std::shared_ptr<const SharedCache> AnalysisService::tier() const {
 LifecycleStats AnalysisService::lifecycleStats() const {
   std::lock_guard<std::mutex> L(In->M);
   return In->Lifecycle ? In->Lifecycle->stats() : LifecycleStats{};
+}
+
+std::vector<JobOutcome> gaia::runBatch(AnalysisService &Svc,
+                                       const std::vector<AnalysisJob> &Jobs,
+                                       BatchStats *Stats) {
+  auto Start = std::chrono::steady_clock::now();
+  std::vector<ServiceTicketPtr> Tickets;
+  Tickets.reserve(Jobs.size());
+  for (const AnalysisJob &J : Jobs)
+    Tickets.push_back(Svc.submit({J, 0}));
+  std::vector<JobOutcome> Out;
+  Out.reserve(Jobs.size());
+  // The wave holds the only references to its tickets, so each outcome
+  // moves out once its ticket resolves.
+  for (const ServiceTicketPtr &T : Tickets) {
+    T->wait();
+    Out.push_back(std::move(T->Out.Outcome));
+  }
+  double Wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
+          .count();
+  if (Stats)
+    *Stats = summarizeBatch(Jobs, Out, Wall);
+  return Out;
 }

@@ -1,12 +1,12 @@
 //===- runtime/AnalysisService.h - Resident analysis front-end ------------==//
 ///
 /// \file
-/// The resident serving layer over the AnalysisPool/ResilienceManager/
-/// TierLifecycle stack: where AnalysisPool::run dispatches one fixed
-/// batch and blocks, AnalysisService accepts a continuous stream of
+/// The one worker runtime, layered over ResilienceManager and
+/// TierLifecycle: AnalysisService accepts a continuous stream of
 /// submissions and makes *load* — not just individual jobs — unable to
-/// take the process down. Design (see DESIGN.md, "Serving and
-/// overload"):
+/// take the process down. A fixed batch is one wave on it: submit every
+/// job, then wait for every ticket (runBatch below). Design (see
+/// DESIGN.md, "Serving and overload"):
 ///
 ///   - a bounded MPMC admission queue with an explicit policy: Block
 ///     (classic backpressure), RejectNewest (fail fast), or the
@@ -55,6 +55,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 namespace gaia {
 
@@ -93,7 +94,8 @@ struct ServiceOptions {
   /// Initial frozen shared tier (may be null: jobs run cold and drain()
   /// skips the lifecycle rotation).
   std::shared_ptr<const SharedCache> Shared;
-  /// Optional retry-with-degradation ladder, as in PoolOptions.
+  /// Optional retry-with-degradation ladder (runtime/Resilience.h);
+  /// null = no retries. Exception containment is unconditional.
   std::shared_ptr<ResilienceManager> Resilience;
   /// Lifecycle policy for the drain-time endBatch rotation.
   LifecyclePolicy Lifecycle;
@@ -140,11 +142,18 @@ struct ServiceOutcome {
   uint64_t Seq = 0;
 };
 
+class AnalysisService;
+
 /// The caller's handle on one submission. Fulfilled exactly once — by a
 /// worker, by admission control, or by drain-time shedding — and safe
 /// to wait on from any thread.
 class ServiceTicket {
 public:
+  /// \p WaveCancel is the caller's token (ServiceOptions::Opts.Cancel):
+  /// the job's own token reads as cancelled once it is.
+  explicit ServiceTicket(std::shared_ptr<const CancelToken> WaveCancel)
+      : Token(std::make_shared<CancelToken>(std::move(WaveCancel))) {}
+
   /// Blocks until the outcome is available.
   const ServiceOutcome &wait() const {
     std::unique_lock<std::mutex> L(M);
@@ -160,11 +169,15 @@ public:
 
   /// Cooperative caller-side cancellation of this job: the worker polls
   /// the same token the watchdog escalates on. The ticket still resolves
-  /// (with FailKind::Cancelled if the cancel lands mid-run).
+  /// (with FailKind::Cancelled if the cancel lands mid-run). Tripping
+  /// ServiceOptions::Opts.Cancel withdraws every job the same way.
   void cancel() { Token->cancel(); }
 
 private:
   friend class AnalysisService;
+  friend std::vector<JobOutcome> runBatch(AnalysisService &,
+                                          const std::vector<AnalysisJob> &,
+                                          BatchStats *);
 
   void fulfill(ServiceOutcome O) {
     {
@@ -183,7 +196,7 @@ private:
   mutable std::condition_variable CV;
   ServiceOutcome Out;
   bool Done = false;
-  std::shared_ptr<CancelToken> Token = std::make_shared<CancelToken>();
+  std::shared_ptr<CancelToken> Token;
 };
 
 using ServiceTicketPtr = std::shared_ptr<ServiceTicket>;
@@ -272,10 +285,20 @@ private:
   ServiceTicketPtr submitImpl(ServiceRequest R, bool AllowBlock);
 
   /// Everything workers (and a detached straggler) can touch, owned by
-  /// shared_ptr exactly like AnalysisPool's Batch: the service object
-  /// may die while a poisoned thread is still unwinding.
+  /// shared_ptr: the service object may die while a poisoned thread is
+  /// still unwinding.
   std::shared_ptr<Impl> In;
 };
+
+/// Runs \p Jobs as one wave on \p Svc: submits every job, then waits
+/// for every ticket, and returns the outcomes in job order. Under
+/// AdmitPolicy::Block nothing is refused (submit waits for queue
+/// space); under the other policies an overflowing job's outcome is its
+/// structured Rejected result. The wave's figures, timed from the first
+/// submit to the last fulfilment, land in \p Stats when non-null.
+std::vector<JobOutcome> runBatch(AnalysisService &Svc,
+                                 const std::vector<AnalysisJob> &Jobs,
+                                 BatchStats *Stats = nullptr);
 
 } // namespace gaia
 

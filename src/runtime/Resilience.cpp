@@ -286,3 +286,30 @@ JobOutcome gaia::runContainedJob(const AnalysisJob &Job,
           .count();
   return O;
 }
+
+BatchStats gaia::summarizeBatch(const std::vector<AnalysisJob> &Jobs,
+                                const std::vector<JobOutcome> &Out,
+                                double WallSeconds) {
+  BatchStats S;
+  S.Jobs = static_cast<uint32_t>(Out.size());
+  S.WallSeconds = WallSeconds;
+  S.JobsPerSecond = WallSeconds > 0 ? double(Out.size()) / WallSeconds : 0.0;
+  for (size_t I = 0; I != Out.size(); ++I) {
+    const JobOutcome &O = Out[I];
+    S.SharedHits += O.Result.Stats.OpCacheSharedHits;
+    S.DeltaHits += O.Result.Stats.OpCacheHits;
+    S.Misses += O.Result.Stats.OpCacheMisses;
+    S.AllOk = S.AllOk && O.Result.Ok;
+    S.AllConverged = S.AllConverged && O.Result.Converged;
+    if (!O.Result.Ok) {
+      ++S.Failed;
+      if (S.FirstError.empty())
+        S.FirstError = Jobs[I].Key + ": " + O.Result.Error;
+    } else if (O.Result.Degraded) {
+      ++S.Degraded;
+    } else if (O.Rung == RecoveryRung::ColdRetry) {
+      ++S.Recovered;
+    }
+  }
+  return S;
+}

@@ -34,8 +34,8 @@
 /// non-degraded result releases the quarantine, a probe that fails (or
 /// only survives degraded) re-arms it for another TTL window.
 ///
-/// The manager is shared by all workers of a pool (and may be shared by
-/// several pools); every method is thread-safe.
+/// The manager is shared by all workers of a service (and may be shared
+/// by several services); every method is thread-safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +46,9 @@
 
 #include <functional>
 #include <mutex>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 namespace gaia {
 
@@ -83,8 +85,7 @@ enum class RecoveryRung : uint8_t {
 
 const char *recoveryRungName(RecoveryRung R);
 
-/// One finished job (the unit both AnalysisPool batches and
-/// AnalysisService tickets deliver).
+/// One finished job (the unit AnalysisService tickets deliver).
 struct JobOutcome {
   AnalysisResult Result;
   double Seconds = 0;  ///< wall time of this job on its worker
@@ -99,6 +100,41 @@ struct JobOutcome {
   /// unless the build has GAIA_FAULT_INJECT and a fault plan is armed).
   uint64_t FaultFires = 0;
 };
+
+/// Aggregate figures for one batch of jobs: a pure summary of the
+/// batch's outcomes plus its wall time (see summarizeBatch).
+struct BatchStats {
+  uint32_t Jobs = 0;
+  double WallSeconds = 0;
+  double JobsPerSecond = 0;
+  /// Summed op-cache counters across jobs.
+  uint64_t SharedHits = 0; ///< resolved in the frozen shared tier
+  uint64_t DeltaHits = 0;  ///< resolved in a job's private delta
+  uint64_t Misses = 0;     ///< computed fresh
+  bool AllOk = true;
+  bool AllConverged = true;
+  /// Jobs whose final result (after any ladder) is still a failure.
+  uint32_t Failed = 0;
+  /// Ok jobs whose result came from a degrading rung (tight budgets or
+  /// the widen-to-top floor) rather than the configured analysis.
+  uint32_t Degraded = 0;
+  /// Ok jobs rescued by a non-degrading retry (the cold rung).
+  uint32_t Recovered = 0;
+  /// "<job key>: <error>" for the first failed job in job order (empty
+  /// when Failed == 0); the bench/gate chain surfaces it.
+  std::string FirstError;
+
+  double sharedHitRate() const {
+    uint64_t Total = SharedHits + DeltaHits + Misses;
+    return Total ? double(SharedHits) / double(Total) : 0.0;
+  }
+};
+
+/// Summarizes a finished batch: \p Out[I] is the outcome of \p Jobs[I],
+/// and the batch took \p WallSeconds end to end.
+BatchStats summarizeBatch(const std::vector<AnalysisJob> &Jobs,
+                          const std::vector<JobOutcome> &Out,
+                          double WallSeconds);
 
 /// Per-rung counters (monotone; read under the manager's lock).
 struct ResilienceStats {
@@ -118,8 +154,8 @@ struct ResilienceStats {
 /// exception that escapes the analysis (parser, std::bad_alloc, an
 /// internal invariant, an injected chaos fault) is converted into a
 /// structured failure (Ok = false, Fail = FailKind::Exception, Error =
-/// what()). This is the only analysis entry point AnalysisPool workers
-/// use; with it, a worker thread cannot die to a per-job failure.
+/// what()). This is the only analysis entry point service workers use;
+/// with it, a worker thread cannot die to a per-job failure.
 AnalysisResult containedAnalyze(const std::string &Source,
                                 const std::string &GoalSpec,
                                 const AnalyzerOptions &Opts) noexcept;
@@ -189,14 +225,15 @@ private:
   std::unordered_map<uint64_t, uint32_t> Quarantine;
 };
 
-/// Runs one job end-to-end under the full containment stack shared by
-/// AnalysisPool workers and AnalysisService workers: quarantine
-/// preCheck (with probe-through reporting), one contained attempt with
-/// a deterministic per-(job, attempt) chaos-fault scope, and — when
-/// \p Res is non-null and the failure is ladder-eligible — the recovery
-/// ladder. \p FaultSaltBase seeds the fault stream (the convention is
-/// job-index * 251; the attempt index is added per retry), so the fault
-/// plan depends only on job identity, never on which worker ran it.
+/// Runs one job end-to-end under the full containment stack every
+/// AnalysisService worker runs: quarantine preCheck (with probe-through
+/// reporting), one contained attempt with a deterministic per-(job,
+/// attempt) chaos-fault scope, and — when \p Res is non-null and the
+/// failure is ladder-eligible — the recovery ladder. \p FaultSaltBase
+/// seeds the fault stream (the convention is (admission seq - 1) * 251,
+/// so the first job submitted gets salt 0; the attempt index is added
+/// per retry), so the fault plan depends only on job identity, never on
+/// which worker ran it.
 /// noexcept: this is the last frame before a worker loop — even
 /// "impossible" throws become structured failures.
 JobOutcome runContainedJob(const AnalysisJob &Job,

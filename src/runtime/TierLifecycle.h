@@ -16,9 +16,10 @@
 ///             stricter liveness until the tier fits (or nothing more
 ///             can go).
 ///
-/// The controller is single-threaded by design: it runs on the batch
-/// driver's thread between AnalysisPool::run calls, where no worker is
-/// in flight. Every tier it installs is observationally invisible —
+/// The controller is single-threaded by design: it runs on the thread
+/// that submits the waves, between waves (runBatch in
+/// runtime/AnalysisService.h, or at AnalysisService::drain), where no
+/// job of the rotated tier is in flight. Every tier it installs is observationally invisible —
 /// cached entries are exact, so rotation changes memory and timing,
 /// never analysis results (bench/tier_lifecycle.cpp asserts the
 /// fingerprints).
@@ -28,7 +29,7 @@
 #ifndef GAIA_RUNTIME_TIERLIFECYCLE_H
 #define GAIA_RUNTIME_TIERLIFECYCLE_H
 
-#include "runtime/AnalysisPool.h"
+#include "runtime/Resilience.h"
 #include "runtime/SharedCache.h"
 
 #include <memory>
@@ -60,7 +61,7 @@ struct LifecycleStats {
   uint64_t DroppedGraphs = 0;    ///< graph ids dropped across compactions
 };
 
-/// Not thread-safe; call endBatch between pool batches only.
+/// Not thread-safe; call endBatch between waves only.
 class TierLifecycle {
 public:
   TierLifecycle(std::shared_ptr<const SharedCache> Initial,

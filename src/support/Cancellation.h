@@ -39,14 +39,25 @@ namespace gaia {
 
 /// Shared cancellation flag. One token may be watched by any number of
 /// concurrent jobs (the batch shape: one token per request wave);
-/// cancel() is safe from any thread.
+/// cancel() is safe from any thread. A token made with a parent also
+/// reads as cancelled once the parent is: the service gives each
+/// request its own token under the caller's wave token, so either side
+/// can withdraw the job.
 class CancelToken {
 public:
+  CancelToken() = default;
+  explicit CancelToken(std::shared_ptr<const CancelToken> Parent)
+      : Parent(std::move(Parent)) {}
+
   void cancel() { Flag.store(true, std::memory_order_relaxed); }
-  bool cancelled() const { return Flag.load(std::memory_order_relaxed); }
+  bool cancelled() const {
+    return Flag.load(std::memory_order_relaxed) ||
+           (Parent && Parent->cancelled());
+  }
 
 private:
   std::atomic<bool> Flag{false};
+  const std::shared_ptr<const CancelToken> Parent;
 };
 
 /// Thrown by CancelSignal::poll() when the signal has tripped. Plain

@@ -1,15 +1,14 @@
-//===- support/SmallPtrMap.h - Small pointer-keyed map and set ------------==//
+//===- support/SmallPtrMap.h - Small pointer-keyed set --------------------==//
 ///
 /// \file
-/// Pointer-keyed associative containers tuned for the GAIA dependency
-/// graph: most memo-table entries have a handful of dependencies, a few
-/// hub entries (library predicates everything calls) have hundreds. Both
-/// containers keep their elements in a flat vector — deterministic
-/// insertion-order iteration, cache-friendly scans — and add a hash
-/// index only once the element count passes the inline threshold, so the
-/// common case stays allocation-free per lookup and the hub case stays
-/// O(1) instead of the quadratic linear-scan behavior the seed engine
-/// had.
+/// A pointer set tuned for the GAIA dependency graph: most memo-table
+/// entries have a handful of dependencies, a few hub entries (library
+/// predicates everything calls) have hundreds. The set keeps its
+/// elements in a flat vector — deterministic insertion-order iteration,
+/// cache-friendly scans — and adds a hash index only once the element
+/// count passes the inline threshold, so the common case stays
+/// allocation-free per lookup and the hub case stays O(1) instead of the
+/// quadratic linear-scan behavior the seed engine had.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,85 +18,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace gaia {
 
-/// Map from pointer keys to values. Linear scan below \p N entries;
-/// hash-indexed above. Iteration yields (key, value) pairs in insertion
-/// order. No erase (the engine only clears whole maps between passes).
-template <typename T, typename V, unsigned N = 8> class SmallPtrMap {
-public:
-  using Entry = std::pair<T *, V>;
-
-  /// Returns the value slot for \p Key, inserting a default-constructed
-  /// value if absent. \p Inserted reports which happened.
-  V &lookupOrInsert(T *Key, bool &Inserted) {
-    if (uint32_t *Slot = findSlot(Key)) {
-      Inserted = false;
-      return Entries[*Slot].second;
-    }
-    Inserted = true;
-    uint32_t Idx = static_cast<uint32_t>(Entries.size());
-    Entries.emplace_back(Key, V());
-    if (!Index.empty() || Entries.size() > N) {
-      if (Index.empty())
-        for (uint32_t I = 0; I != Entries.size(); ++I)
-          Index.emplace(Entries[I].first, I);
-      else
-        Index.emplace(Key, Idx);
-    }
-    return Entries.back().second;
-  }
-
-  V *find(T *Key) {
-    uint32_t *Slot = findSlot(Key);
-    return Slot ? &Entries[*Slot].second : nullptr;
-  }
-
-  void clear() {
-    Entries.clear();
-    Index.clear();
-  }
-
-  bool empty() const { return Entries.empty(); }
-  size_t size() const { return Entries.size(); }
-  typename std::vector<Entry>::const_iterator begin() const {
-    return Entries.begin();
-  }
-  typename std::vector<Entry>::const_iterator end() const {
-    return Entries.end();
-  }
-
-private:
-  uint32_t *findSlot(T *Key) {
-    if (Index.empty()) {
-      for (uint32_t I = 0; I != Entries.size(); ++I)
-        if (Entries[I].first == Key) {
-          Scratch = I;
-          return &Scratch;
-        }
-      return nullptr;
-    }
-    auto It = Index.find(Key);
-    if (It == Index.end())
-      return nullptr;
-    Scratch = It->second;
-    return &Scratch;
-  }
-
-  std::vector<Entry> Entries;
-  std::unordered_map<T *, uint32_t> Index; ///< engaged past N entries
-  uint32_t Scratch = 0;
-};
-
-/// Set of pointers with the same hybrid strategy and insertion-order
-/// iteration — except after `erase`, which swap-pops and therefore
-/// perturbs the order (the engine's Dependents sets are pure sets: the
-/// dirty-marking sweep over them is order-independent). The index maps
-/// each element to its vector position so erase stays O(1) for the hub
-/// entries with hundreds of dependents.
+/// Set of pointers: linear scan below \p N elements, hash-indexed above.
+/// Iteration follows insertion order — except after `erase`, which
+/// swap-pops and therefore perturbs the order (the engine's Dependents
+/// sets are pure sets: the dirty-marking sweep over them is
+/// order-independent). The index maps each element to its vector
+/// position so erase stays O(1) for the hub entries with hundreds of
+/// dependents.
 template <typename T, unsigned N = 8> class SmallPtrSet {
 public:
   /// Returns true if \p Key was newly inserted.

@@ -7,9 +7,9 @@
 /// overload ladder (driven deterministically via ServiceClock::advance),
 /// graceful drain semantics (submit-after-drain, queue shedding, tier
 /// promotion intact), bit-identity of admitted jobs against the
-/// sequential oracle, and — in GAIA_FAULT_INJECT builds — the watchdog's
-/// cancel -> poison -> replace escalation on a deliberately stalled
-/// worker.
+/// sequential oracle, the caller's wave cancel token, and — in
+/// GAIA_FAULT_INJECT builds — the watchdog's cancel -> poison -> replace
+/// escalation on a deliberately stalled worker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,6 @@
 
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
-#include "runtime/AnalysisPool.h"
 #include "support/FaultInject.h"
 
 #include <gtest/gtest.h>
@@ -135,11 +134,11 @@ TEST_F(ServiceTest, AdmittedJobsMatchTheSequentialOracleAndDrainKeepsTier) {
   // The post-drain tier serves a fresh batch bit-identically.
   std::shared_ptr<const SharedCache> Tier = Svc.tier();
   ASSERT_NE(Tier, nullptr);
-  PoolOptions PO;
-  PO.Workers = 2;
-  PO.Shared = Tier;
-  AnalysisPool Pool(PO);
-  std::vector<JobOutcome> Out = Pool.run(Jobs);
+  ServiceOptions Fresh;
+  Fresh.Workers = 2;
+  Fresh.Shared = Tier;
+  AnalysisService FreshSvc(Fresh);
+  std::vector<JobOutcome> Out = runBatch(FreshSvc, Jobs);
   ASSERT_EQ(Out.size(), Jobs.size());
   for (size_t I = 0; I != Out.size(); ++I) {
     ASSERT_TRUE(Out[I].Result.Ok);
@@ -390,6 +389,65 @@ TEST_F(ServiceTest, CallerCancelResolvesAQueuedJobAsCancelled) {
   EXPECT_FALSE(O.Outcome.Result.Ok);
   EXPECT_EQ(O.Outcome.Result.Fail, FailKind::Cancelled);
   EXPECT_TRUE(Blocker->wait().Outcome.Result.Ok);
+  Svc.drain(milliseconds(20000));
+}
+
+/// The caller's own token (ServiceOptions::Opts.Cancel) covers every
+/// job of the service: tripped before submission, every ticket resolves
+/// as Cancelled, nothing is harvested, and the drain promotes nothing.
+TEST_F(ServiceTest, PreTrippedCallerTokenCancelsEveryTicket) {
+  std::vector<AnalysisJob> Jobs = section9Jobs();
+  std::string Err;
+  std::shared_ptr<const SharedCache> Cache =
+      SharedCache::build(Jobs, AnalyzerOptions{}, &Err);
+  ASSERT_NE(Cache, nullptr) << Err;
+
+  auto Token = std::make_shared<CancelToken>();
+  Token->cancel();
+  ServiceOptions SO;
+  SO.Workers = 4;
+  SO.Shared = Cache;
+  SO.CollectDeltas = true;
+  SO.Opts.Cancel = Token;
+  AnalysisService Svc(SO);
+
+  BatchStats St;
+  std::vector<JobOutcome> Out = runBatch(Svc, Jobs, &St);
+  ASSERT_EQ(Out.size(), Jobs.size());
+  for (size_t I = 0; I != Out.size(); ++I) {
+    EXPECT_FALSE(Out[I].Result.Ok) << Jobs[I].Key;
+    EXPECT_EQ(Out[I].Result.Fail, FailKind::Cancelled)
+        << Jobs[I].Key << ": " << failKindName(Out[I].Result.Fail);
+    EXPECT_EQ(Out[I].Result.Delta, nullptr)
+        << "cancelled jobs must not harvest deltas";
+  }
+  EXPECT_EQ(St.Failed, Jobs.size());
+  EXPECT_EQ(Svc.stats().Completed, Jobs.size());
+
+  Svc.drain(milliseconds(20000));
+  EXPECT_EQ(Svc.lifecycleStats().Promotions, 0u);
+  EXPECT_EQ(Svc.tier(), Cache) << "a cancelled wave must promote nothing";
+}
+
+/// Either token withdraws a running job: the caller's wave token tripped
+/// mid-run lands at the job's next poll point like ServiceTicket::cancel.
+TEST_F(ServiceTest, CallerTokenCancelsARunningJob) {
+  auto Token = std::make_shared<CancelToken>();
+  ServiceOptions SO;
+  SO.Workers = 1;
+  SO.Opts.UseOpCache = false;
+  SO.Opts.Cancel = Token;
+  SO.WatchdogPollMs = 0;
+  AnalysisService Svc(SO);
+
+  ServiceTicketPtr T = Svc.submit({heavyJob(), 0});
+  awaitBusyWorker(Svc);
+  Token->cancel();
+  const ServiceOutcome &O = T->wait();
+  EXPECT_TRUE(O.Ran);
+  EXPECT_FALSE(O.Outcome.Result.Ok);
+  EXPECT_EQ(O.Outcome.Result.Fail, FailKind::Cancelled)
+      << failKindName(O.Outcome.Result.Fail);
   Svc.drain(milliseconds(20000));
 }
 

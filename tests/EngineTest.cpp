@@ -233,11 +233,10 @@ TEST_F(EngineTest, StaleDependencyEdgesAreUnlinked) {
   // an entry's Deps each pass, and must also remove the entry from the
   // old callees' Dependents sets. With the stale edges left in place,
   // entries abandoned as call patterns evolve along a recursion kept
-  // dirtying their former dependents on every version bump, inflating
-  // both the spurious-invalidation skip counter and — through transitive
-  // dirtying — the real recompute count. On the KA and RE benchmarks the
-  // stale-edge engine measured 156/121 procedure iterations with 1/0
-  // skips; unlinking gives the counts below. The analysis *results* are
+  // dirtying their former dependents on every change, inflating —
+  // through transitive dirtying — the recompute count. On the KA
+  // benchmark the stale-edge engine measured 156 procedure iterations;
+  // unlinking gives the counts below. The analysis *results* are
   // identical either way (recomputes are idempotent); the counters pin
   // the dependency bookkeeping itself.
   const BenchmarkProgram *KA = findBenchmark("KA");
@@ -246,8 +245,6 @@ TEST_F(EngineTest, StaleDependencyEdgesAreUnlinked) {
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_TRUE(R.Converged);
   EXPECT_EQ(R.Stats.ProcedureIterations, 146u) << "stale edges gave 156";
-  EXPECT_EQ(R.Stats.RecomputesSkipped, 0u)
-      << "every skip on KA came from a spurious stale-edge invalidation";
 
   const BenchmarkProgram *RE = findBenchmark("RE");
   ASSERT_NE(RE, nullptr);

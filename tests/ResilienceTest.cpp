@@ -14,7 +14,7 @@
 
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
-#include "runtime/AnalysisPool.h"
+#include "runtime/AnalysisService.h"
 #include "runtime/TierLifecycle.h"
 #include "support/FaultInject.h"
 #include "typegraph/GraphOps.h"
@@ -139,47 +139,45 @@ TEST(Cancellation, CancelledWaveLeavesNoTraceInTheTierLifecycle) {
   LifecyclePolicy LP;
   LP.PromoteMinHits = 2;
 
+  // One wave of Jobs on a fresh 4-worker service over \p Tier,
+  // harvesting deltas; \p Cancel (when set) is the caller's wave token.
+  auto Wave = [&](std::shared_ptr<const SharedCache> Tier,
+                  std::shared_ptr<const CancelToken> Cancel,
+                  BatchStats *St = nullptr) {
+    ServiceOptions SO;
+    SO.Workers = 4;
+    SO.Shared = std::move(Tier);
+    SO.CollectDeltas = true;
+    SO.Opts.Cancel = std::move(Cancel);
+    AnalysisService Svc(SO);
+    return runBatch(Svc, Jobs, St);
+  };
+
   // Run A: one clean wave through a rotation.
   std::vector<std::string> CleanFps;
   uint64_t CleanPromotions = 0;
   {
     TierLifecycle L(Cache, LP);
-    PoolOptions PO;
-    PO.Workers = 4;
-    PO.Shared = L.current();
-    PO.CollectDeltas = true;
-    AnalysisPool Pool(PO);
-    std::vector<JobOutcome> Out = Pool.run(Jobs);
-    L.endBatch(Out);
-    Pool.setShared(L.current());
-    std::vector<JobOutcome> Out2 = Pool.run(Jobs);
+    L.endBatch(Wave(L.current(), nullptr));
+    std::vector<JobOutcome> Out2 = Wave(L.current(), nullptr);
     for (const JobOutcome &O : Out2)
       CleanFps.push_back(fingerprint(O.Result));
     L.endBatch(Out2);
     CleanPromotions = L.stats().Promotions;
   }
 
-  // Run B: identical, except a fully-cancelled wave (same jobs, token
-  // tripped before dispatch) runs — and rotates — between the two.
+  // Run B: identical, except a fully-cancelled wave (same jobs, the
+  // caller's token tripped before submission) runs — and rotates —
+  // between the two.
   {
     TierLifecycle L(Cache, LP);
-    PoolOptions PO;
-    PO.Workers = 4;
-    PO.Shared = L.current();
-    PO.CollectDeltas = true;
-    AnalysisPool Pool(PO);
-    std::vector<JobOutcome> Out = Pool.run(Jobs);
-    L.endBatch(Out);
+    L.endBatch(Wave(L.current(), nullptr));
 
     auto Token = std::make_shared<CancelToken>();
     Token->cancel();
-    PoolOptions CancelledPO = PO;
-    CancelledPO.Opts.Cancel = Token;
-    CancelledPO.Shared = L.current();
-    AnalysisPool CancelledPool(CancelledPO);
     BatchStats CancelledStats;
     std::vector<JobOutcome> Cancelled =
-        CancelledPool.run(Jobs, &CancelledStats);
+        Wave(L.current(), Token, &CancelledStats);
     ASSERT_EQ(Cancelled.size(), Jobs.size());
     for (const JobOutcome &O : Cancelled) {
       EXPECT_FALSE(O.Result.Ok);
@@ -193,8 +191,7 @@ TEST(Cancellation, CancelledWaveLeavesNoTraceInTheTierLifecycle) {
     EXPECT_EQ(L.stats().Promotions, PromotionsBefore)
         << "a cancelled wave must promote nothing";
 
-    Pool.setShared(L.current());
-    std::vector<JobOutcome> Out2 = Pool.run(Jobs);
+    std::vector<JobOutcome> Out2 = Wave(L.current(), nullptr);
     for (size_t I = 0; I != Out2.size(); ++I)
       EXPECT_EQ(CleanFps[I], fingerprint(Out2[I].Result))
           << Jobs[I].Key
@@ -430,23 +427,28 @@ TEST(ResilienceLadder, ProbeThroughRestoresFullServiceEndToEnd) {
   EXPECT_EQ(Mgr->stats().QuarantineShortCircuits, 2u);
 }
 
-/// End-to-end: a pool with deadline-doomed jobs and a ladder ends the
-/// batch with every job answered (Ok through a degrading rung), no
-/// worker lost, and the per-rung stats visible.
-TEST(ResilienceLadder, PoolRecoversDeadlinedJobsEndToEnd) {
+/// End-to-end: a service with deadline-doomed jobs and a ladder ends
+/// the batch with every job answered (Ok through a degrading rung), no
+/// worker lost, and the per-rung stats visible. One worker per job, so
+/// no job waits out its deadline in the queue (the service would shed
+/// it as Rejected); 10 ms still leaves an uncached PR run (several times
+/// longer) failing its first attempt with Deadline. The watchdog is
+/// off: the whole ladder outlives its cancel multiple by design.
+TEST(ResilienceLadder, ServiceRecoversDeadlinedJobsEndToEnd) {
   const BenchmarkProgram *PR = findBenchmark("PR");
   ASSERT_NE(PR, nullptr);
   std::vector<AnalysisJob> Jobs(4, AnalysisJob{"PR", PR->Source,
                                                PR->GoalSpec});
 
-  PoolOptions PO;
-  PO.Workers = 2;
-  PO.Opts = heavyOpts();
-  PO.Opts.DeadlineMs = 1;
-  PO.Resilience = std::make_shared<ResilienceManager>();
-  AnalysisPool Pool(PO);
+  ServiceOptions SO;
+  SO.Workers = 4;
+  SO.Opts = heavyOpts();
+  SO.Opts.DeadlineMs = 10;
+  SO.Resilience = std::make_shared<ResilienceManager>();
+  SO.WatchdogPollMs = 0;
+  AnalysisService Svc(SO);
   BatchStats St;
-  std::vector<JobOutcome> Out = Pool.run(Jobs, &St);
+  std::vector<JobOutcome> Out = runBatch(Svc, Jobs, &St);
   ASSERT_EQ(Out.size(), Jobs.size());
   for (const JobOutcome &O : Out) {
     EXPECT_TRUE(O.Result.Ok)
@@ -456,7 +458,7 @@ TEST(ResilienceLadder, PoolRecoversDeadlinedJobsEndToEnd) {
   }
   EXPECT_EQ(St.Failed, 0u);
   EXPECT_TRUE(St.FirstError.empty());
-  EXPECT_GT(PO.Resilience->stats().FirstAttemptFailures, 0u);
+  EXPECT_GT(SO.Resilience->stats().FirstAttemptFailures, 0u);
 }
 
 /// Without a ladder the failure is reported as-is — and the batch stats
@@ -466,11 +468,11 @@ TEST(ResilienceLadder, NoLadderMeansStructuredFailureInStats) {
       {"good", "p(a).\n", "p(any)"},
       {"bad", "p(a) :- .\n", "p(any)"},
   };
-  PoolOptions PO;
-  PO.Workers = 2;
-  AnalysisPool Pool(PO);
+  ServiceOptions SO;
+  SO.Workers = 2;
+  AnalysisService Svc(SO);
   BatchStats St;
-  std::vector<JobOutcome> Out = Pool.run(Jobs, &St);
+  std::vector<JobOutcome> Out = runBatch(Svc, Jobs, &St);
   ASSERT_EQ(Out.size(), 2u);
   EXPECT_TRUE(Out[0].Result.Ok);
   EXPECT_FALSE(Out[1].Result.Ok);
@@ -550,7 +552,7 @@ TEST_F(FaultInjection, FaultPlanIsDeterministicPerJobAndAttempt) {
   EXPECT_EQ(Signature(3), Signature(3)) << "signatures must replay too";
 }
 
-TEST_F(FaultInjection, LadderRecoversInjectedFaultsInThePool) {
+TEST_F(FaultInjection, LadderRecoversInjectedFaultsInTheService) {
   // p high enough that many jobs fault, low enough that retries (fresh
   // stream per attempt) usually survive: the ladder's bread and butter.
   faultinject::configure(5e-3, 99);
@@ -559,12 +561,12 @@ TEST_F(FaultInjection, LadderRecoversInjectedFaultsInThePool) {
     for (const AnalysisJob &J : section9Jobs())
       Jobs.push_back(J);
 
-  PoolOptions PO;
-  PO.Workers = 4;
-  PO.Resilience = std::make_shared<ResilienceManager>();
-  AnalysisPool Pool(PO);
+  ServiceOptions SO;
+  SO.Workers = 4;
+  SO.Resilience = std::make_shared<ResilienceManager>();
+  AnalysisService Svc(SO);
   BatchStats St;
-  std::vector<JobOutcome> Out = Pool.run(Jobs, &St);
+  std::vector<JobOutcome> Out = runBatch(Svc, Jobs, &St);
   ASSERT_EQ(Out.size(), Jobs.size());
 
   uint64_t Faulted = 0;

@@ -289,8 +289,9 @@ TEST(SharedCacheStressTest, FrozenPfTierServesConcurrentLookupsBitIdentically) {
     ASSERT_EQ(Got[Seq], Oracle[Seq]) << "pf sequence " << Seq;
 }
 
-/// Concurrent *jobs* (full analyses) over one tier — the pool's inner
-/// loop without the pool, so TSan sees the analyzer path too.
+/// Concurrent *jobs* (full analyses) over one tier — the service
+/// workers' inner loop without the service, so TSan sees the analyzer
+/// path too.
 TEST(SharedCacheStressTest, ConcurrentAnalysesOverOneTierMatchColdRuns) {
   std::vector<AnalysisJob> Warmup;
   for (const BenchmarkProgram &B : table123Suite())

@@ -1,4 +1,4 @@
-//===- tests/SmallPtrMapTest.cpp - Hybrid pointer map/set tests -----------==//
+//===- tests/SmallPtrMapTest.cpp - Hybrid pointer set tests ---------------==//
 ///
 /// \file
 /// Unit and differential coverage for support/SmallPtrMap.h, in
@@ -104,31 +104,6 @@ TEST_F(SmallPtrSetTest, DifferentialAgainstStdSet) {
   std::vector<Obj *> Elems(S.begin(), S.end());
   std::sort(Elems.begin(), Elems.end());
   EXPECT_TRUE(std::equal(Elems.begin(), Elems.end(), Ref.begin(), Ref.end()));
-}
-
-TEST(SmallPtrMapBasicsTest, LookupInsertFindClear) {
-  std::vector<Obj> Objs(32);
-  SmallPtrMap<Obj, uint64_t, 8> M;
-  bool Inserted = false;
-  for (int I = 0; I != 16; ++I) {
-    M.lookupOrInsert(&Objs[I], Inserted) = static_cast<uint64_t>(I * 7);
-    EXPECT_TRUE(Inserted);
-  }
-  M.lookupOrInsert(&Objs[3], Inserted) = 99;
-  EXPECT_FALSE(Inserted);
-  ASSERT_NE(M.find(&Objs[3]), nullptr);
-  EXPECT_EQ(*M.find(&Objs[3]), 99u);
-  EXPECT_EQ(M.find(&Objs[31]), nullptr);
-  EXPECT_EQ(M.size(), 16u);
-  // Insertion-order iteration.
-  int I = 0;
-  for (const auto &[K, V] : M)
-    EXPECT_EQ(K, &Objs[I++]);
-  M.clear();
-  EXPECT_TRUE(M.empty());
-  M.lookupOrInsert(&Objs[5], Inserted) = 1;
-  EXPECT_TRUE(Inserted);
-  EXPECT_EQ(M.size(), 1u);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
+#include "runtime/AnalysisService.h"
 #include "support/Relocation.h"
 
 #include <gtest/gtest.h>
@@ -248,21 +249,21 @@ TEST(TierLifecycleTest, LifecycleRotatesTiersAcrossBatchesUnchanged) {
   LP.KeepGens = 1;
   TierLifecycle L(buildTier(Jobs), LP);
 
-  PoolOptions PO;
-  PO.Workers = 4;
-  PO.Shared = L.current();
-  PO.CollectDeltas = true;
-  PO.DeltaMinHits = LP.PromoteMinHits;
-  AnalysisPool Pool(PO);
-
   for (unsigned Gen = 0; Gen != 4; ++Gen) {
     std::vector<AnalysisJob> Batch = Jobs;
     Batch.push_back(churnJob(100 + Gen));
     std::string ChurnWant = fingerprint(
         analyzeProgram(Batch.back().Source, Batch.back().GoalSpec));
 
-    Pool.setShared(L.current());
-    std::vector<JobOutcome> Out = Pool.run(Batch);
+    // One service wave per generation, over the tier the lifecycle
+    // installed after the previous wave.
+    ServiceOptions SO;
+    SO.Workers = 4;
+    SO.Shared = L.current();
+    SO.CollectDeltas = true;
+    SO.DeltaMinHits = LP.PromoteMinHits;
+    AnalysisService Svc(SO);
+    std::vector<JobOutcome> Out = runBatch(Svc, Batch);
     ASSERT_EQ(Out.size(), Batch.size());
     for (size_t I = 0; I != Jobs.size(); ++I)
       EXPECT_EQ(Oracle[Batch[I].Key], fingerprint(Out[I].Result))

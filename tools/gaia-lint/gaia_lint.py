@@ -107,7 +107,7 @@ RELOC_BUILDER_CLASSES = ("FrozenInternTier", "FrozenPfTier")
 # Identifiers that mark "this build reads an existing tier": the shared
 # tier member (Shared) or a previous-tier parameter (Prev).
 RELOC_TIER_REFS = ("Shared", "Prev")
-# Directories whose code runs under the worker pool's noexcept
+# Directories whose code runs under the service workers' noexcept
 # containment boundary; the worker-noexcept rule runs only there.
 DEFAULT_WORKER_PATHS = ("src/runtime",)
 WORKER_BANNED_CALLS = ("abort", "exit", "_exit", "_Exit", "quick_exit",
@@ -764,10 +764,11 @@ def check_relocation_remap(file, toks, findings):
 
 def check_worker_noexcept(file, toks, findings):
     """The serving runtime's workers are noexcept at the job boundary
-    (AnalysisPool::runOne): a `throw` that reaches them terminates the
-    process, and abort()/exit() kill it outright — along with every
-    in-flight job of every other worker. Failures in src/runtime/ must
-    be structured AnalysisResults, never control-flow escapes."""
+    (runContainedJob, which AnalysisService's worker loop runs): a
+    `throw` that reaches them terminates the process, and abort()/exit()
+    kill it outright — along with every in-flight job of every other
+    worker. Failures in src/runtime/ must be structured AnalysisResults,
+    never control-flow escapes."""
     n = len(toks)
     for i, t in enumerate(toks):
         if t.kind != "id":
@@ -775,7 +776,7 @@ def check_worker_noexcept(file, toks, findings):
         if t.text == "throw":
             findings.append(Finding(
                 "worker-noexcept", file, t.line, "throw",
-                "naked `throw` in the serving runtime: the worker pool is "
+                "naked `throw` in the serving runtime: the service workers are "
                 "noexcept at the job boundary, so an escaping exception "
                 "terminates the whole process; return a structured "
                 "AnalysisResult failure instead"))
