@@ -45,21 +45,6 @@ with a logged notice — gating monotone numbers would fail on run order,
 not on memory use. Gated programs fail at RSS_TOLERANCE above baseline;
 programs below RSS_FLOOR_KB are noise and never gated.
 
-Lifecycle gate (--lifecycle) — checks BENCH_tier_lifecycle.json
-(bench/tier_lifecycle soak) and fails when
-
-  * identical_all is false (a promoted or compacted tier changed an
-    analysis result: tier rotation must be observationally invisible), or
-  * the post-compaction tier byte curve does not plateau: once
-    compaction has run, every later generation's tier_bytes must stay
-    within PLATEAU_TOLERANCE of the first compacted generation's —
-    steady-state churn must be reclaimed, not accumulated.
-
-  The lifecycle gate is self-contained (no baseline file): the plateau
-  is a property of one soak run, deterministic because the touched-id
-  sets are (jobs are deterministic; the union over a batch is
-  order-independent).
-
 Service gate (--service) — checks BENCH_service.json (bench/service_soak,
 the resident-service overload ramp) and fails when
 
@@ -67,8 +52,7 @@ the resident-service overload ramp) and fails when
     (every job the service does not run must resolve its ticket with
     FailKind::Rejected — refusal is never an exception, never silent),
   * identical_all is false (an admitted, undegraded job's result
-    diverged from the sequential oracle) or post_drain_tier_identical
-    is false (the drain-time lifecycle rotation changed results),
+    diverged from the sequential oracle),
   * the heaviest non-chaos leg (4x measured capacity) does not shed: an
     overloaded open-loop generator must see shed_rate >= SERVICE_MIN_SHED_4X,
     or its admitted p99 exceeds deadline_ms * (1 + SERVICE_P99_HEADROOM)
@@ -87,7 +71,6 @@ the resident-service overload ramp) and fails when
 Usage:
   check_bench_regression.py [<table3.json> [<table3-baseline.json>]]
       [--throughput <throughput.json> [<throughput-baseline.json>]]
-      [--lifecycle <tier_lifecycle.json>]
       [--service <service.json>]
 The table3 positional may be omitted when at least one mode flag is
 given (the service-soak CI job gates only its own snapshot).
@@ -118,11 +101,6 @@ SCALING_FLOORS = [(8, 3.0), (4, 1.5)]
 # and page-granularity effects dominate small figures, hence the floor.
 RSS_TOLERANCE = 0.50
 RSS_FLOOR_KB = 2048
-# Lifecycle plateau: post-compaction generations may wobble with the
-# compaction cadence (entries promoted between compactions) but must not
-# trend upward — 25% headroom over the first compacted generation.
-PLATEAU_TOLERANCE = 0.25
-LIFECYCLE_KEYS = ("identical_all", "runs", "compaction_start_generation")
 # Service soak: the 4x leg must shed at least this fraction (an
 # open-loop generator at 4x measured capacity leaves ~3/4 of the offered
 # load unservable; 20% is far below that but far above noise), the 0.5x
@@ -134,8 +112,7 @@ SERVICE_MIN_SHED_4X = 0.20
 SERVICE_MAX_SHED_HALF = 0.10
 SERVICE_P99_HEADROOM = 0.25
 SERVICE_P99_SLACK_MS = 20.0
-SERVICE_KEYS = ("deadline_ms", "capacity", "legs", "identical_all",
-                "post_drain_tier_identical")
+SERVICE_KEYS = ("deadline_ms", "capacity", "legs", "identical_all")
 SERVICE_LEG_KEYS = ("multiple", "chaos", "submitted", "shed_rate", "p99_ms",
                     "unstructured_failures", "non_rejected_refusals")
 
@@ -326,52 +303,6 @@ def check_throughput(current_path, baseline_path):
     return failed
 
 
-def check_lifecycle(path):
-    current = load_snapshot(path, LIFECYCLE_KEYS, "lifecycle snapshot")
-
-    failed = False
-
-    if not current.get("identical_all", False):
-        print(
-            "FAIL: a promoted or compacted tier changed an analysis result "
-            "(tier rotation must be observationally invisible)"
-        )
-        failed = True
-
-    runs = current["runs"]
-    if not isinstance(runs, list) or not runs:
-        fail_config(f"lifecycle snapshot '{path}': 'runs' must be a non-empty list")
-    for i, run in enumerate(runs):
-        if not isinstance(run, dict) or "tier_bytes" not in run:
-            fail_config(
-                f"lifecycle snapshot '{path}': runs[{i}] is missing tier_bytes"
-            )
-
-    start = current["compaction_start_generation"]
-    if not isinstance(start, int) or start < 0 or start >= len(runs):
-        print(
-            f"lifecycle plateau not gated: no compaction ran "
-            f"(compaction_start_generation = {start})"
-        )
-        return failed
-
-    # Plateau: once compaction is live, the byte curve may wobble with
-    # the cadence but must not trend upward — steady-state churn has to
-    # be reclaimed.
-    anchor = runs[start]["tier_bytes"]
-    limit = anchor * (1.0 + PLATEAU_TOLERANCE)
-    worst = max(r["tier_bytes"] for r in runs[start:])
-    verdict = "ok" if worst <= limit else "MEMORY GROWTH"
-    print(
-        f"lifecycle plateau: tier_bytes {anchor} at generation {start}, "
-        f"worst {worst} after (limit {limit:.0f} at +{PLATEAU_TOLERANCE:.0%}) "
-        f"-> {verdict}"
-    )
-    if worst > limit:
-        failed = True
-    return failed
-
-
 def check_service(path):
     current = load_snapshot(path, SERVICE_KEYS, "service snapshot")
 
@@ -394,12 +325,6 @@ def check_service(path):
         print(
             "FAIL: an admitted, undegraded job's result diverged from the "
             "sequential oracle"
-        )
-        failed = True
-    if not current.get("post_drain_tier_identical", False):
-        print(
-            "FAIL: the post-drain promoted tier changed an analysis result "
-            "(lifecycle rotation must be observationally invisible)"
         )
         failed = True
 
@@ -463,7 +388,6 @@ def check_service(path):
 def main(argv):
     args = argv[1:]
     tp_current = tp_baseline = None
-    lc_current = None
     sv_current = None
     if "--service" in args:
         i = args.index("--service")
@@ -471,13 +395,6 @@ def main(argv):
             print(__doc__, file=sys.stderr)
             return 2
         sv_current = args[i + 1]
-        args = args[:i] + args[i + 2 :]
-    if "--lifecycle" in args:
-        i = args.index("--lifecycle")
-        if i + 1 >= len(args):
-            print(__doc__, file=sys.stderr)
-            return 2
-        lc_current = args[i + 1]
         args = args[:i] + args[i + 2 :]
     if "--throughput" in args:
         i = args.index("--throughput")
@@ -491,8 +408,7 @@ def main(argv):
         )
         args = args[:i]
 
-    any_mode = tp_current is not None or lc_current is not None \
-        or sv_current is not None
+    any_mode = tp_current is not None or sv_current is not None
     if len(args) > 2 or (not args and not any_mode):
         print(__doc__, file=sys.stderr)
         return 2
@@ -505,8 +421,6 @@ def main(argv):
         failed = check_table3(args[0], table3_baseline)
     if tp_current is not None:
         failed = check_throughput(tp_current, tp_baseline) or failed
-    if lc_current is not None:
-        failed = check_lifecycle(lc_current) or failed
     if sv_current is not None:
         failed = check_service(sv_current) or failed
 

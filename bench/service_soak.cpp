@@ -14,9 +14,7 @@
 ///     refusal without the Rejected kind) is counted and fails the run;
 ///   - admitted jobs that completed Ok and undegraded must be
 ///     bit-identical to the sequential oracle fingerprint;
-///   - p50/p99 submission-to-fulfillment latency of the jobs that ran;
-///   - after the 1x leg, the post-drain promoted tier must serve the
-///     full query mix bit-identically (lifecycle rotation intact).
+///   - p50/p99 submission-to-fulfillment latency of the jobs that ran.
 ///
 /// When built -DGAIA_FAULT_INJECT=ON the 2x leg runs under chaos: fault
 /// probes armed, rare long stalls (the blind-sleep pathology that
@@ -99,8 +97,7 @@ LegResult runLeg(double Multiple, double CapacityJps, bool Chaos,
                  const SoakConfig &C,
                  const std::vector<AnalysisJob> &Queries,
                  const std::map<std::string, std::string> &Oracle,
-                 const std::shared_ptr<const SharedCache> &Cache,
-                 bool VerifyTierAfterDrain, bool *TierIdentical) {
+                 const std::shared_ptr<const SharedCache> &Cache) {
   using Clock = std::chrono::steady_clock;
 
   ServiceOptions SO;
@@ -108,7 +105,6 @@ LegResult runLeg(double Multiple, double CapacityJps, bool Chaos,
   SO.QueueCapacity = C.QueueCapacity;
   SO.Admission = AdmitPolicy::ShedEarliestToMiss;
   SO.Shared = Cache;
-  SO.CollectDeltas = VerifyTierAfterDrain;
 #ifdef GAIA_FAULT_INJECT
   uint64_t FiresBefore = faultinject::totalFires();
   uint64_t StallsBefore = faultinject::totalStalls();
@@ -192,27 +188,6 @@ LegResult runLeg(double Multiple, double CapacityJps, bool Chaos,
     std::sort(Latencies.begin(), Latencies.end());
     Leg.P50Ms = percentile(Latencies, 0.50);
     Leg.P99Ms = percentile(Latencies, 0.99);
-
-    if (VerifyTierAfterDrain && TierIdentical) {
-      // The lifecycle rotation must be observationally invisible: the
-      // promoted tier serves the full mix bit-identically.
-      *TierIdentical = true;
-      ServiceOptions CheckSO;
-      CheckSO.Workers = C.Workers;
-      CheckSO.QueueCapacity = static_cast<uint32_t>(Queries.size());
-      CheckSO.Shared = Svc.tier();
-      AnalysisService Check(CheckSO);
-      std::vector<JobOutcome> Out = runBatch(Check, Queries);
-      for (size_t I = 0; I != Out.size(); ++I) {
-        const AnalysisJob &J = Queries[I];
-        if (analysisFingerprint(Out[I].Result) !=
-            Oracle.at(J.Key + "|" + J.GoalSpec)) {
-          std::fprintf(stderr, "POST-DRAIN TIER MISMATCH: %s (%s)\n",
-                       J.Key.c_str(), J.GoalSpec.c_str());
-          *TierIdentical = false;
-        }
-      }
-    }
   }
   return Leg;
 }
@@ -301,14 +276,11 @@ int main() {
   const bool ChaosBuilt = false;
 #endif
 
-  bool TierIdentical = false;
   std::vector<LegResult> Legs;
   for (double Multiple : {0.5, 1.0, 2.0, 4.0}) {
     bool Chaos = ChaosBuilt && Multiple == 2.0;
-    bool VerifyTier = Multiple == 1.0;
     LegResult Leg =
-        runLeg(Multiple, CapacityJps, Chaos, C, Queries, Oracle, Cache,
-               VerifyTier, VerifyTier ? &TierIdentical : nullptr);
+        runLeg(Multiple, CapacityJps, Chaos, C, Queries, Oracle, Cache);
     std::printf("  %4.1fx  %5s  %8.0f  %9llu %7llu %7llu  %4.1f%%  %7.1f  "
                 "%7.1f  %llu/%llu/%llu\n",
                 Leg.Multiple, Leg.Chaos ? "yes" : "no", Leg.TargetRate,
@@ -328,9 +300,8 @@ int main() {
     BadRejectTotal += L.BadRejects;
     MismatchTotal += L.Mismatches;
   }
-  std::printf("\npost-drain tier identical: %s; unstructured failures: %llu; "
-              "non-Rejected refusals: %llu; mismatches: %llu\n",
-              TierIdentical ? "yes" : "NO",
+  std::printf("\nunstructured failures: %llu; non-Rejected refusals: %llu; "
+              "mismatches: %llu\n",
               static_cast<unsigned long long>(UnstructuredTotal),
               static_cast<unsigned long long>(BadRejectTotal),
               static_cast<unsigned long long>(MismatchTotal));
@@ -388,11 +359,9 @@ int main() {
           I + 1 != Legs.size() ? "," : "");
     }
     std::fprintf(F,
-                 "  ],\n  \"post_drain_tier_identical\": %s,\n"
-                 "  \"unstructured_total\": %llu,\n"
+                 "  ],\n  \"unstructured_total\": %llu,\n"
                  "  \"non_rejected_refusal_total\": %llu,\n"
                  "  \"identical_all\": %s\n}\n",
-                 TierIdentical ? "true" : "false",
                  static_cast<unsigned long long>(UnstructuredTotal),
                  static_cast<unsigned long long>(BadRejectTotal),
                  MismatchTotal == 0 ? "true" : "false");
@@ -400,11 +369,9 @@ int main() {
     std::printf("wrote %s\n", JsonPath);
   }
 
-  if (UnstructuredTotal || BadRejectTotal || MismatchTotal ||
-      !TierIdentical) {
+  if (UnstructuredTotal || BadRejectTotal || MismatchTotal) {
     std::fprintf(stderr, "FAIL: service soak found unstructured failures, "
-                         "non-Rejected refusals, oracle mismatches, or a "
-                         "broken post-drain tier\n");
+                         "non-Rejected refusals, or oracle mismatches\n");
     return 1;
   }
   return 0;

@@ -196,7 +196,7 @@ int main(int argc, char **argv) {
     double Scaling = Base > 0 ? Last.St.JobsPerSecond / Base : 0;
     // Total jobs executed across all measured + untimed waves (2 waves x
     // 4 worker counts), normalized per 10k jobs: the steady-state memory
-    // figure the lifecycle budget machinery targets.
+    // figure of a batch service.
     size_t Executed = Batch.size() * 2 * Runs.size();
     double RssPer10k =
         Executed ? double(peakRssKb()) * 10000.0 / double(Executed) : 0;

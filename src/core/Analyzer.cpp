@@ -1,4 +1,4 @@
-//===- core/Analyzer.cpp -----------------------------------------------------=//
+//===- core/Analyzer.cpp ----------------------------------------------------=//
 
 #include "core/Analyzer.h"
 
@@ -225,11 +225,6 @@ AnalysisResult analyzeImpl(std::shared_ptr<SymbolTable> SymsPtr,
         R.Stats.PfSetHits = Ops->pfStats().Hits;
         R.Stats.PfSetMisses = Ops->pfStats().Misses;
         R.Stats.PfSetSharedHits = Ops->pfStats().SharedHits;
-        // Harvest the hot delta entries before the per-run cache dies —
-        // only for owned caches: a warmup's external cache accumulates
-        // across calls and is frozen wholesale instead.
-        if (Opts.CollectDelta && Owned)
-          R.Delta = Owned->harvestDelta(Opts.DeltaMinHits);
       }
     } else {
       PFLeaf::Context C{Syms};
@@ -238,8 +233,7 @@ AnalysisResult analyzeImpl(std::shared_ptr<SymbolTable> SymsPtr,
   } catch (const CancelledError &CE) {
     // Cooperative cancellation unwound the engine mid-fixpoint. All
     // per-job state died on the unwind (including the private delta
-    // cache — the harvest above was skipped), so the only residue is
-    // this structured result.
+    // cache), so the only residue is this structured result.
     R.Ok = false;
     R.Fail = CE.DeadlineExpired ? FailKind::Deadline : FailKind::Cancelled;
     R.Error = CE.DeadlineExpired
@@ -250,7 +244,6 @@ AnalysisResult analyzeImpl(std::shared_ptr<SymbolTable> SymsPtr,
     R.QuerySucceeds = false;
     R.QueryOutput.clear();
     R.Summaries.clear();
-    R.Delta = nullptr;
     return R;
   }
   R.Converged = R.Stats.FixpointAborts == 0;

@@ -57,9 +57,6 @@ JobOutcome rejectedOutcome(const std::string &Why) {
 /// loop holds, so a poisoned slot swapped out of Impl::Slots stays
 /// valid for the straggler that still owns it.
 struct AnalysisService::WorkerSlot {
-  explicit WorkerSlot(uint32_t Index) : Index(Index) {}
-
-  const uint32_t Index;
   bool Busy = false;
   uint64_t Seq = 0; ///< admission seq of the running job (Busy only)
   ServiceClock::TimePoint BusySince{};
@@ -76,10 +73,6 @@ struct AnalysisService::Impl {
   explicit Impl(ServiceOptions O) : Options(std::move(O)) {
     if (Options.QueueCapacity == 0)
       Options.QueueCapacity = 1;
-    Tier = Options.Shared;
-    if (Tier)
-      Lifecycle =
-          std::make_unique<TierLifecycle>(Tier, Options.Lifecycle);
   }
 
   /// One admitted-but-unstarted job.
@@ -133,11 +126,6 @@ struct AnalysisService::Impl {
   ServiceStats St;   ///< counters + PeakQueueDepth (gauges built on read)
   OverloadState State = OverloadState::Healthy;
   double EwmaJobMs = 0;
-
-  /// Deltas harvested from completed jobs, for the drain-time rotation.
-  std::vector<std::shared_ptr<const CacheDelta>> Deltas;
-  std::unique_ptr<TierLifecycle> Lifecycle; ///< null when tierless
-  std::shared_ptr<const SharedCache> Tier;  ///< guarded by M after drain
 };
 
 AnalysisService::AnalysisService(ServiceOptions Options)
@@ -151,7 +139,7 @@ AnalysisService::AnalysisService(ServiceOptions Options)
   In->Slots.reserve(N);
   In->Threads.reserve(N);
   for (uint32_t I = 0; I != N; ++I) {
-    auto Slot = std::make_shared<WorkerSlot>(I);
+    auto Slot = std::make_shared<WorkerSlot>();
     In->Slots.push_back(Slot);
     In->Threads.emplace_back(&AnalysisService::workerLoop, In, Slot);
   }
@@ -332,8 +320,6 @@ void AnalysisService::workerLoop(std::shared_ptr<Impl> In,
     // poll reports Deadline rather than us guessing here).
     AnalyzerOptions JobOpts = In->Options.Opts;
     JobOpts.Shared = In->Options.Shared;
-    JobOpts.CollectDelta = In->Options.CollectDeltas;
-    JobOpts.DeltaMinHits = In->Options.DeltaMinHits;
     JobOpts.Cancel = Slot->Cancel;
     if (E.HasDeadline) {
       double RemainMs = msSince(ServiceClock::now(), E.DeadlineAt);
@@ -344,7 +330,6 @@ void AnalysisService::workerLoop(std::shared_ptr<Impl> In,
     JobOutcome O = runContainedJob(E.Job, JobOpts,
                                    In->Options.Resilience.get(),
                                    (E.Seq - 1) * 251);
-    O.Worker = Slot->Index;
 
     ServiceOutcome Out;
     double JobMs = O.Seconds * 1e3;
@@ -362,8 +347,6 @@ void AnalysisService::workerLoop(std::shared_ptr<Impl> In,
       In->EwmaJobMs = In->EwmaJobMs == 0
                           ? JobMs
                           : 0.8 * In->EwmaJobMs + 0.2 * JobMs;
-      if (Out.Outcome.Result.Delta)
-        In->Deltas.push_back(Out.Outcome.Result.Delta);
       Slot->Busy = false;
       Slot->Cancel = nullptr;
       Slot->DeadlineMs = 0;
@@ -419,8 +402,7 @@ void AnalysisService::watchdogLoop(std::shared_ptr<Impl> In) {
         S.Poisoned = true;
         ++In->St.WatchdogPoisoned;
         In->Threads[I].detach();
-        auto Fresh =
-            std::make_shared<WorkerSlot>(static_cast<uint32_t>(I));
+        auto Fresh = std::make_shared<WorkerSlot>();
         In->Slots[I] = Fresh;
         In->Threads[I] =
             std::thread(&AnalysisService::workerLoop, In, Fresh);
@@ -482,19 +464,8 @@ void AnalysisService::drain(std::chrono::milliseconds FlushBudget) {
     if (T.joinable())
       T.join();
 
-  {
-    std::lock_guard<std::mutex> L(In->M);
-    if (In->Lifecycle) {
-      // The rotation reads only Result.Delta from each outcome, so the
-      // harvested deltas are wrapped in minimal JobOutcome shells.
-      std::vector<JobOutcome> Wrap(In->Deltas.size());
-      for (size_t I = 0; I != In->Deltas.size(); ++I)
-        Wrap[I].Result.Delta = In->Deltas[I];
-      In->Deltas.clear();
-      In->Tier = In->Lifecycle->endBatch(Wrap);
-    }
-    In->Drained = true;
-  }
+  std::lock_guard<std::mutex> L(In->M);
+  In->Drained = true;
 }
 
 ServiceStats AnalysisService::stats() const {
@@ -527,16 +498,6 @@ uint32_t AnalysisService::workers() const {
 bool AnalysisService::drained() const {
   std::lock_guard<std::mutex> L(In->M);
   return In->Drained;
-}
-
-std::shared_ptr<const SharedCache> AnalysisService::tier() const {
-  std::lock_guard<std::mutex> L(In->M);
-  return In->Tier;
-}
-
-LifecycleStats AnalysisService::lifecycleStats() const {
-  std::lock_guard<std::mutex> L(In->M);
-  return In->Lifecycle ? In->Lifecycle->stats() : LifecycleStats{};
 }
 
 std::vector<JobOutcome> gaia::runBatch(AnalysisService &Svc,

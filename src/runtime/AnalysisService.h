@@ -1,8 +1,8 @@
 //===- runtime/AnalysisService.h - Resident analysis front-end ------------==//
 ///
 /// \file
-/// The one worker runtime, layered over ResilienceManager and
-/// TierLifecycle: AnalysisService accepts a continuous stream of
+/// The one worker runtime, layered over ResilienceManager:
+/// AnalysisService accepts a continuous stream of
 /// submissions and makes *load* — not just individual jobs — unable to
 /// take the process down. A fixed batch is one wave on it: submit every
 /// job, then wait for every ticket (runBatch below). Design (see
@@ -31,12 +31,11 @@
 ///     can still touch is owned by a shared_ptr state block, so it can
 ///     never dangle, and its ticket is still fulfilled when it finally
 ///     comes home.
-///   - a graceful lifecycle: drain(budget) closes admission, flushes
+///   - a graceful shutdown: drain(budget) closes admission, flushes
 ///     the queue for up to the budget, sheds the remainder with
-///     structured results, runs the TierLifecycle::endBatch promotion
-///     path over the deltas completed jobs harvested, and joins the
-///     workers. The post-drain tier serves a fresh batch bit-identically
-///     (caching is observationally invisible; see ROADMAP).
+///     structured results, and joins the workers. Jobs only read the
+///     shared tier, so the tier a service was built over is exactly the
+///     tier it leaves behind.
 ///
 /// All queue-side time arithmetic goes through ServiceClock
 /// (support/Clock.h) so tests can age the queue without sleeping.
@@ -48,7 +47,6 @@
 
 #include "runtime/Resilience.h"
 #include "runtime/SharedCache.h"
-#include "runtime/TierLifecycle.h"
 #include "support/Clock.h"
 
 #include <chrono>
@@ -91,18 +89,12 @@ struct ServiceOptions {
   /// the deadline is end-to-end from admission, so a job that waited in
   /// the queue runs with only its remaining budget.
   AnalyzerOptions Opts;
-  /// Initial frozen shared tier (may be null: jobs run cold and drain()
-  /// skips the lifecycle rotation).
+  /// Frozen shared tier every job reads through (may be null: jobs run
+  /// cold).
   std::shared_ptr<const SharedCache> Shared;
   /// Optional retry-with-degradation ladder (runtime/Resilience.h);
   /// null = no retries. Exception containment is unconditional.
   std::shared_ptr<ResilienceManager> Resilience;
-  /// Lifecycle policy for the drain-time endBatch rotation.
-  LifecyclePolicy Lifecycle;
-  /// Harvest hot delta-cache entries from completed jobs; drain()'s
-  /// rotation promotes them into the next tier.
-  bool CollectDeltas = false;
-  uint32_t DeltaMinHits = 2;
   /// Overload state machine: Saturated when queue depth reaches this
   /// fraction of QueueCapacity (or the head has aged half its shedding
   /// horizon).
@@ -257,22 +249,13 @@ public:
   /// Graceful shutdown. Closes admission (later submissions are
   /// Rejected), lets workers flush the queue for up to \p FlushBudget
   /// of real wall time, sheds whatever is still queued with structured
-  /// Rejected results, cancels in-flight jobs past the budget, joins
-  /// the workers and the watchdog, and runs the TierLifecycle::endBatch
-  /// promotion over the harvested deltas. Call at most once (the
-  /// destructor calls it with a zero budget if needed); a stuck worker
-  /// that the watchdog already detached does not block the join.
+  /// Rejected results, cancels in-flight jobs past the budget, and joins
+  /// the workers and the watchdog. Call at most once (the destructor
+  /// calls it with a zero budget if needed); a stuck worker that the
+  /// watchdog already detached does not block the join.
   void drain(std::chrono::milliseconds FlushBudget);
 
   bool drained() const;
-
-  /// The current frozen tier: the construction-time tier until drain(),
-  /// the promoted one after. Null when the service was built tierless.
-  std::shared_ptr<const SharedCache> tier() const;
-
-  /// Lifecycle counters for the drain-time rotation (zeros when the
-  /// service was built tierless).
-  LifecycleStats lifecycleStats() const;
 
 private:
   struct Impl;

@@ -185,7 +185,6 @@ AnalysisResult ResilienceManager::recover(const AnalysisJob &Job,
   AnalyzerOptions Tight = Cold;
   Tight.MaxFixpointRounds = Opts.TightMaxFixpointRounds;
   Tight.MaxInputPatterns = Opts.TightMaxInputPatterns;
-  Tight.CollectDelta = false; // a coarse run's entries must not promote
   {
     std::lock_guard<std::mutex> L(M);
     ++St.TightRetries;

@@ -88,8 +88,7 @@ const char *recoveryRungName(RecoveryRung R);
 /// One finished job (the unit AnalysisService tickets deliver).
 struct JobOutcome {
   AnalysisResult Result;
-  double Seconds = 0;  ///< wall time of this job on its worker
-  uint32_t Worker = 0; ///< index of the worker that ran it
+  double Seconds = 0; ///< wall time of this job on its worker
   /// Which resilience rung produced Result (None: the first attempt —
   /// or the job failed with no ladder configured / an ineligible kind).
   RecoveryRung Rung = RecoveryRung::None;

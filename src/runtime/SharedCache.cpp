@@ -16,7 +16,7 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
 
 /// Flat per-entry overhead charged for a hash-map node (bucket slot +
 /// node header). A constant, so the estimate is deterministic across
-/// allocators and runs — what the soak bench's plateau gate needs.
+/// allocators and runs.
 constexpr uint64_t MapNodeOverhead = 32;
 
 uint64_t graphBytes(const TypeGraph &G) {
@@ -39,7 +39,6 @@ uint64_t estimateTierBytes(const FrozenOpTier &T) {
     B += graphBytes(G);
   for (const TypeGraph &G : IT.Aliases)
     B += graphBytes(G);
-  B += IT.Canon.size() * sizeof(std::atomic<uint32_t>); // touch array
   for (const auto &[Hash, Entries] : IT.StructBuckets) {
     (void)Hash;
     B += MapNodeOverhead +
@@ -86,33 +85,6 @@ uint64_t arenaBytes(const FrozenOpTier &T) {
 
 } // namespace
 
-void SharedCache::primeAndFillStats() {
-  // Pre-prime the leaf constants: resolve each against the frozen tier
-  // so the cached (epoch, id) pairs survive into every job's copy. A
-  // constant whose language the tier does not hold simply stays
-  // unprimed (the job's delta interner picks it up on first use).
-  Consts.AnyList = TypeGraph::makeAnyList(Syms);
-  {
-    GraphInterner Primer(Syms, Ops->Intern);
-    Primer.intern(Consts.Any);
-    Primer.intern(Consts.Int);
-    Primer.intern(Consts.Bottom);
-    Primer.intern(*Consts.AnyList);
-  }
-
-  // Warm the functor-rank memo so every job's snapshot copy starts with
-  // valid ranks instead of each recomputing them on first sort.
-  if (Syms.numFunctors() != 0)
-    Syms.functorRank(0);
-
-  St.Graphs = Ops->Intern->size();
-  St.OpResults = Ops->resultCount();
-  St.PfSets = Ops->Pf->size();
-  St.Symbols = Syms.numSymbols();
-  St.TierBytes = estimateTierBytes(*Ops);
-  St.ArenaBytes = arenaBytes(*Ops);
-}
-
 std::shared_ptr<const SharedCache>
 SharedCache::build(const std::vector<AnalysisJob> &Warmup,
                    const AnalyzerOptions &Opts, std::string *Err) {
@@ -157,143 +129,31 @@ SharedCache::build(const std::vector<AnalysisJob> &Warmup,
   }
 
   SC->Ops = Warm.freeze();
-  // Stacking a warmup on a previous tier preserves that tier's id
-  // prefix, so the touch history stays meaningful — carry it over.
-  if (Prev)
-    SC->Ops->Intern->seedTouchesFrom(*Prev->ops()->Intern);
 
-  SC->primeAndFillStats();
-  SC->St.WarmupSeconds = secondsSince(Start);
-  return SC;
-}
-
-std::shared_ptr<const SharedCache> SharedCache::promoteAndRefreeze(
-    const std::vector<std::shared_ptr<const CacheDelta>> &Deltas) const {
-  auto Start = std::chrono::steady_clock::now();
-  std::shared_ptr<SharedCache> SC(new SharedCache());
-  SC->BuiltOpts = BuiltOpts;
-  SC->St.WarmupJobs = St.WarmupJobs;
-  SC->St.AllConverged = St.AllConverged;
-
-  // Same table, same functor ids: the absorb below hits its identity
-  // fast path for deltas harvested from jobs that ran over this tier
-  // (their snapshots started from this very table). Deltas from foreign
-  // tables relocate by (name, arity) instead — still exact.
-  SC->Syms = Syms;
-  NormalizeOptions Norm;
-  Norm.OrCap = BuiltOpts.OrCap;
-  OpCache Warm(SC->Syms, Norm, Ops);
-  for (const std::shared_ptr<const CacheDelta> &D : Deltas)
-    if (D)
-      SC->St.AbsorbedEntries += Warm.absorbDelta(SC->Syms, *D);
-
-  // Stacking freeze: this tier's ids [0, size) are the new tier's
-  // prefix, absorbed entries append past them. Touch history carries
-  // over so compaction liveness spans refreezes (absorbed entries start
-  // at the current generation — they are hot by construction).
-  SC->Ops = Warm.freeze();
-  SC->Ops->Intern->seedTouchesFrom(*Ops->Intern);
-
-  SC->primeAndFillStats();
-  SC->St.WarmupSeconds = secondsSince(Start);
-  return SC;
-}
-
-std::shared_ptr<const SharedCache>
-SharedCache::compactAndRefreeze(const CompactionPolicy &Policy,
-                                RelocationTable<CanonId> *GraphReloc) const {
-  auto Start = std::chrono::steady_clock::now();
-  const FrozenInternTier &IT = *Ops->Intern;
-  const uint32_t Gen = IT.generation();
-  auto Live = [&](CanonId Id) {
-    return IT.touchGeneration(Id) + Policy.KeepGens >= Gen;
-  };
-
-  // Harvest the generationally-live slice of the tier into a value-
-  // carrying delta. Graphs are COPIED out of the (possibly sealed)
-  // arena: re-interning writes the graph's lazily-filled cache fields,
-  // and those writes must land on heap-side copies, never on a
-  // PROT_READ tier. An operation entry survives only if every graph it
-  // references survives — otherwise its key could not be expressed in
-  // the compacted id space.
-  CacheDelta D;
-  for (CanonId Id = 0; Id != IT.size(); ++Id)
-    if (Live(Id))
-      D.Graphs.push_back({Id, IT.Canon[Id]});
-  for (const auto &[K, V] : Ops->Incl)
-    if (Live(K.first) && Live(K.second))
-      D.Incl.push_back({IT.Canon[K.first], IT.Canon[K.second], V != 0});
-  for (const auto &[K, V] : Ops->Union)
-    if (Live(K.first) && Live(K.second) && Live(V))
-      D.Union.push_back({IT.Canon[K.first], IT.Canon[K.second], IT.Canon[V]});
-  for (const auto &[K, V] : Ops->Inter)
-    if (Live(K.first) && Live(K.second) && Live(V))
-      D.Inter.push_back({IT.Canon[K.first], IT.Canon[K.second], IT.Canon[V]});
-  for (const auto &[K, V] : Ops->Widen)
-    if (Live(K.first) && Live(K.second) && Live(V))
-      D.Widen.push_back({IT.Canon[K.first], IT.Canon[K.second], IT.Canon[V]});
-  for (const auto &[K, V] : Ops->Restrict) {
-    bool Keep = Live(K.first);
-    for (CanonId A : V.Args)
-      Keep = Keep && Live(A);
-    if (!Keep)
-      continue;
-    CacheDelta::RestrictEntry E;
-    E.V = IT.Canon[K.first];
-    E.Name = Syms.functorName(K.second);
-    E.Arity = Syms.functorArity(K.second);
-    E.Ok = V.Ok;
-    for (CanonId A : V.Args)
-      E.Args.push_back(IT.Canon[A]);
-    D.Restrict.push_back(std::move(E));
+  // Pre-prime the leaf constants: resolve each against the frozen tier
+  // so the cached (epoch, id) pairs survive into every job's copy. A
+  // constant whose language the tier does not hold simply stays
+  // unprimed (the job's delta interner picks it up on first use).
+  SC->Consts.AnyList = TypeGraph::makeAnyList(SC->Syms);
+  {
+    GraphInterner Primer(SC->Syms, SC->Ops->Intern);
+    Primer.intern(SC->Consts.Any);
+    Primer.intern(SC->Consts.Int);
+    Primer.intern(SC->Consts.Bottom);
+    Primer.intern(*SC->Consts.AnyList);
   }
-  for (const auto &[K, V] : Ops->Construct) {
-    bool Keep = Live(V);
-    for (size_t I = 1; I != K.size(); ++I)
-      Keep = Keep && Live(K[I]);
-    if (!Keep)
-      continue;
-    CacheDelta::ConstructEntry E;
-    E.Name = Syms.functorName(K[0]);
-    E.Arity = Syms.functorArity(K[0]);
-    for (size_t I = 1; I != K.size(); ++I)
-      E.Args.push_back(IT.Canon[K[I]]);
-    E.R = IT.Canon[V];
-    D.Construct.push_back(std::move(E));
-  }
-  D.Syms = Syms;
 
-  std::shared_ptr<SharedCache> SC(new SharedCache());
-  SC->BuiltOpts = BuiltOpts;
-  SC->St.WarmupJobs = St.WarmupJobs;
-  SC->St.AllConverged = St.AllConverged;
+  // Warm the functor-rank memo so every job's snapshot copy starts with
+  // valid ranks instead of each recomputing them on first sort.
+  if (SC->Syms.numFunctors() != 0)
+    SC->Syms.functorRank(0);
 
-  // The symbol table is kept whole even when graphs die: functor ids
-  // are stable for the cache's lifetime, which is what lets promotion
-  // absorb worker deltas over the identity fast path. (Symbols are tiny
-  // next to graphs; compacting them would re-key every surviving graph
-  // for marginal savings.)
-  SC->Syms = Syms;
-  NormalizeOptions Norm;
-  Norm.OrCap = BuiltOpts.OrCap;
-  // A FRESH cache — no shared tier underneath — so survivors renumber
-  // densely from 0. The relocation table records old-id -> new-id for
-  // every survivor; dropped ids keep the Dropped sentinel. Pf-sets are
-  // not relocated: freeze()'s pf pre-pass re-derives them from the
-  // surviving graphs (so pf id 0 = the empty set holds by construction).
-  OpCache Fresh(SC->Syms, Norm, nullptr);
-  RelocationTable<CanonId> LocalReloc(IT.size());
-  RelocationTable<CanonId> *Reloc = GraphReloc ? GraphReloc : &LocalReloc;
-  if (GraphReloc)
-    *GraphReloc = RelocationTable<CanonId>(IT.size());
-  SC->St.AbsorbedEntries = Fresh.absorbDelta(SC->Syms, D, Reloc);
-  SC->St.DroppedGraphs = IT.size() - Reloc->liveCount();
-
-  // Compacted tier: generation counter and touch history restart at 0
-  // (every survivor was live by definition; staleness accrues afresh).
-  SC->Ops = Fresh.freeze();
-
-  SC->primeAndFillStats();
+  SC->St.Graphs = SC->Ops->Intern->size();
+  SC->St.OpResults = SC->Ops->resultCount();
+  SC->St.PfSets = SC->Ops->Pf->size();
+  SC->St.Symbols = SC->Syms.numSymbols();
+  SC->St.TierBytes = estimateTierBytes(*SC->Ops);
+  SC->St.ArenaBytes = arenaBytes(*SC->Ops);
   SC->St.WarmupSeconds = secondsSince(Start);
   return SC;
 }

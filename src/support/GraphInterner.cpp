@@ -177,19 +177,10 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
   // here as-is.
   if (G.internEpoch() == Epoch) {
     ++St.IdHits;
-    CanonId Id = G.internId();
-    // A shared-tier id can be cached under this interner's own epoch
-    // (alias shapes recorded privately resolve to tier ids), so the
-    // liveness signal routes on the id, not on the cache's epoch.
-    if (Id < Base)
-      Shared->touch(Id);
-    else
-      ++DeltaHits[Id - Base];
-    return Id;
+    return G.internId();
   }
   if (Shared && G.internEpoch() == Shared->Epoch) {
     ++St.SharedHits;
-    Shared->touch(G.internId());
     return G.internId();
   }
 
@@ -210,7 +201,6 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
       for (const auto &[Rep, Id] : BucketIt->second)
         if (structuralEqual(*Rep, G)) {
           ++St.SharedHits;
-          Shared->touch(Id);
           G.setInternCache(Shared->Epoch, Id);
           return Id;
         }
@@ -221,10 +211,6 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
     if (structuralEqual(*Rep, G)) {
       ++St.StructHits;
       G.setInternCache(Epoch, Id);
-      if (Id < Base)
-        Shared->touch(Id);
-      else
-        ++DeltaHits[Id - Base];
       return Id;
     }
 
@@ -243,7 +229,6 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
         // New shape of a language the shared tier knows: record the
         // shape privately so the next structural lookup short-circuits.
         ++St.SharedHits;
-        Shared->touch(SharedIt->second);
         Aliases.push_back(G);
         Bucket.emplace_back(&Aliases.back(), SharedIt->second);
         G.setInternCache(Shared->Epoch, SharedIt->second);
@@ -255,9 +240,6 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
       // New shape of a known language: remember it so the next
       // structural lookup of this shape short-circuits.
       ++St.AutoHits;
-      // The private automaton map only records privately assigned ids
-      // (>= Base), so this is always a delta-heat tick.
-      ++DeltaHits[It->second - Base];
       Aliases.push_back(G);
       Bucket.emplace_back(&Aliases.back(), It->second);
       G.setInternCache(Epoch, It->second);
@@ -270,7 +252,6 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
   ++St.Misses;
   CanonId Id = Base + static_cast<CanonId>(Canon.size());
   Canon.push_back(G);
-  DeltaHits.push_back(0);
   Canon.back().setInternCache(Epoch, Id);
   Bucket.emplace_back(&Canon.back(), Id);
   if (NeedKeys)
@@ -285,10 +266,9 @@ GraphInterner::freeze(bool SealStorage) const {
   B.Epoch = nextInternerEpoch();
 
   // Stacking preserves every id: the relocation from the (shared tier +
-  // delta) id space into the new tier is the identity table. Compaction
-  // (runtime/SharedCache.cpp) is the rebuild with a non-trivial table;
-  // both route every cross-tier id through the RelocationTable API, per
-  // the gaia-lint relocation-remap rule.
+  // delta) id space into the new tier is the identity table, and every
+  // cross-tier id is routed through it, per the gaia-lint
+  // relocation-remap rule.
   const RelocationTable<CanonId> Reloc =
       RelocationTable<CanonId>::identity(size());
 

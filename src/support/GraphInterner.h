@@ -59,8 +59,6 @@
 #include "typegraph/Normalize.h"
 #include "typegraph/TypeGraph.h"
 
-#include <algorithm>
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <unordered_map>
@@ -111,8 +109,9 @@ struct InternStats {
 /// GraphInterner::freeze().
 ///
 /// Freeze discipline (gaia-lint `freeze-fields` / `freeze-methods`):
-/// every field is const and no mutating member function exists, so the
-/// never-written-after-freeze contract is compiler-checked; freeze()
+/// every field is const, no field is atomic and no mutating member
+/// function exists, so the never-written-after-freeze contract is
+/// compiler-checked (a worker's tier hit is a pure read); freeze()
 /// stages the contents in a Builder and moves them into place. In audit
 /// builds (GAIA_AUDIT) the containers additionally live in a
 /// FrozenArena that is mprotect(PROT_READ)-ed once the tier is complete,
@@ -148,8 +147,7 @@ struct FrozenInternTier {
         HasUncertified(B.HasUncertified), Canon(std::move(B.Canon)),
         Aliases(std::move(B.Aliases)),
         StructBuckets(std::move(B.StructBuckets)),
-        AutoMap(std::move(B.AutoMap)),
-        TouchGens(std::make_unique<std::atomic<uint32_t>[]>(Canon.size())) {}
+        AutoMap(std::move(B.AutoMap)) {}
 
   /// Container teardown writes into the storage it releases, so the last
   /// reference lifts the audit seal before the members destruct.
@@ -178,51 +176,8 @@ struct FrozenInternTier {
   const BucketMap StructBuckets;
   /// Serialized minimal automaton -> id, for every id of the tier.
   const AutoKeyMap AutoMap;
-  /// Per-id touch generations for compaction liveness (last generation
-  /// in which the id was resolved through this tier). Heap-side, never
-  /// in the audit arena: workers store into these relaxed-atomically
-  /// while the tier's language data stays sealed. The const unique_ptr
-  /// keeps the array itself immutable while its atomic elements remain
-  /// writable — the same shape as the language data's freeze contract
-  /// (the *index* never changes, only the usage bookkeeping ticks).
-  const std::unique_ptr<std::atomic<uint32_t>[]> TouchGens;
-  /// Current generation of the tier's lifecycle (advanced between
-  /// batches by the runtime's TierLifecycle, never mid-batch).
-  mutable std::atomic<uint32_t> CurrentGen{0};
 
   uint32_t size() const { return static_cast<uint32_t>(Canon.size()); }
-
-  /// Records a resolution of \p Id in the current generation. Relaxed:
-  /// liveness is a heuristic read only between batches.
-  void touch(CanonId Id) const {
-    TouchGens[Id].store(CurrentGen.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  }
-  uint32_t touchGeneration(CanonId Id) const {
-    return TouchGens[Id].load(std::memory_order_relaxed);
-  }
-  uint32_t generation() const {
-    return CurrentGen.load(std::memory_order_relaxed);
-  }
-  /// Starts a new generation window. Call only between batches (no
-  /// concurrent readers required, but safe with them).
-  uint32_t advanceGeneration() const {
-    return CurrentGen.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  /// Carries \p Prev's touch history into this tier after a stacking
-  /// refreeze (ids are preserved across stacking, so the common prefix
-  /// maps 1:1). Ids new in this tier count as touched now: they were
-  /// just promoted or interned by the freezing cache.
-  void seedTouchesFrom(const FrozenInternTier &Prev) const {
-    uint32_t Gen = Prev.generation();
-    CurrentGen.store(Gen, std::memory_order_relaxed);
-    uint32_t Common = std::min(size(), Prev.size());
-    for (CanonId Id = 0; Id != Common; ++Id)
-      TouchGens[Id].store(Prev.touchGeneration(Id),
-                          std::memory_order_relaxed);
-    for (CanonId Id = Common; Id < size(); ++Id)
-      TouchGens[Id].store(Gen, std::memory_order_relaxed);
-  }
 
   /// Seals the arena (audit builds): every later write to tier storage
   /// faults. No-op without GAIA_AUDIT. Idempotent; const because it only
@@ -272,12 +227,6 @@ public:
   /// Number of languages interned privately (beyond the shared tier).
   uint32_t deltaSize() const { return static_cast<uint32_t>(Canon.size()); }
 
-  /// The I-th privately interned graph (I in [0, deltaSize())).
-  const TypeGraph &deltaGraph(uint32_t I) const { return Canon[I]; }
-  /// How often the I-th private graph was re-resolved after its first
-  /// interning — the promotion heat signal (OpCache::harvestDelta).
-  uint32_t deltaHits(uint32_t I) const { return DeltaHits[I]; }
-
   /// Snapshots this interner (shared tier included, ids preserved) into
   /// an immutable tier safe for unsynchronized concurrent lookups. By
   /// default the tier's audit-build storage is sealed before returning;
@@ -303,9 +252,6 @@ private:
   /// Private canonical representatives, indexed by CanonId - Base.
   /// Deque: stable references across growth.
   std::deque<TypeGraph> Canon;
-  /// Re-resolution counts parallel to Canon (cheap per-entry heat
-  /// counters for delta promotion).
-  std::deque<uint32_t> DeltaHits;
   /// Alias storage for structurally novel graphs of known languages.
   std::deque<TypeGraph> Aliases;
   /// Structural fast path: shape hash -> (representative graph, id).

@@ -92,10 +92,7 @@ std::shared_ptr<const FrozenPfTier> PfSetInterner::freeze() const {
   FrozenPfTier::Builder B;
   B.Epoch = nextPfEpoch();
   // Stacking preserves every pf-set id: the relocation into the new tier
-  // is the identity table (mirroring GraphInterner::freeze). Compaction
-  // never relocates pf-sets — it re-derives them from the surviving
-  // graphs' topologies (OpCache::freeze's pf pre-pass over the rebuilt
-  // interner), so id 0 = empty-set and density hold by construction.
+  // is the identity table (mirroring GraphInterner::freeze).
   const RelocationTable<PfSetId> Reloc =
       RelocationTable<PfSetId>::identity(numSets());
   if (Shared) {

@@ -1,20 +1,14 @@
-//===- support/Relocation.h - Id relocation across cache-tier rebuilds ----==//
+//===- support/Relocation.h - Id relocation across cache tiers ------------==//
 ///
 /// \file
 /// Explicit old-id -> new-id tables for the dense id spaces of the
-/// caching stack (canonical graph ids, pf-set ids, functor ids). Every
-/// tier rebuild — stacking freeze, delta promotion, generational
-/// compaction — maps ids from the source space into the target space
-/// through one of these tables instead of ad-hoc offset arithmetic:
-///
-///   - a *stacking* freeze preserves every id, so its table is the
-///     identity (constructed via identity(), which makes the intent
-///     auditable);
-///   - *compaction* drops dead ids and renumbers the survivors densely;
-///     dropped ids map to the Dropped sentinel and any cache entry that
-///     refers to one is discarded with them;
-///   - *absorption* of a worker delta into a foreign symbol table remaps
-///     functor ids by (name, arity) — see OpCache::absorbDelta.
+/// caching stack (canonical graph ids, pf-set ids). A tier freeze maps
+/// ids from the source space into the target space through one of
+/// these tables instead of ad-hoc offset arithmetic. A *stacking* freeze
+/// (a new tier built over an old one) preserves every id, so its table
+/// is the identity, constructed via identity() so the intent is
+/// auditable. A table built empty maps every id to the Dropped sentinel
+/// until set() gives it an image.
 ///
 /// The gaia-lint `relocation-remap` rule enforces the discipline: code
 /// in src/support or src/runtime that builds a FrozenInternTier or

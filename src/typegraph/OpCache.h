@@ -23,10 +23,11 @@
 /// `freeze()` snapshots a populated OpCache (result maps plus the
 /// interner) into an immutable FrozenOpTier, and a fresh OpCache
 /// constructed over that tier consults it lock-free before its private
-/// delta maps. The tier is never written after freezing, so any number
-/// of concurrent per-worker caches can share one; results frozen from a
-/// warmup run are exact for every later run with the same normalization
-/// and widening options (the runtime's SharedCache gates on that).
+/// delta maps. The tier is never written after freezing (a hit only
+/// reads it), so any number of concurrent per-worker caches can share
+/// one; results frozen from a warmup run are exact for every later run
+/// with the same normalization and widening options (the runtime's
+/// SharedCache gates on that).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +35,6 @@
 #define GAIA_TYPEGRAPH_OPCACHE_H
 
 #include "support/GraphInterner.h"
-#include "support/Relocation.h"
-#include "typegraph/CacheDelta.h"
 #include "typegraph/Normalize.h"
 #include "typegraph/Widening.h"
 
@@ -63,14 +62,6 @@ struct OpCacheStats {
 struct RestrictMemo {
   bool Ok = false;
   SmallVector<CanonId, 4> Args;
-};
-
-/// Delta-map value wrapper: the memoized result plus a cheap per-entry
-/// heat counter. harvestDelta promotes entries whose count clears the
-/// caller's threshold; the counter never reaches the frozen tier.
-template <typename T> struct Counted {
-  T Value;
-  uint32_t Hits = 0;
 };
 
 /// An immutable snapshot of a populated OpCache: the read-only shared
@@ -213,26 +204,6 @@ public:
   /// immutable tier safe for unsynchronized concurrent lookups.
   std::shared_ptr<const FrozenOpTier> freeze() const;
 
-  /// Harvests the hot part of the private delta — entries (and privately
-  /// interned languages) re-resolved at least \p MinHits times — as a
-  /// portable value-carrying CacheDelta. Returns null when nothing
-  /// cleared the threshold. MinHits 0 harvests the entire delta.
-  std::shared_ptr<const CacheDelta> harvestDelta(uint32_t MinHits) const;
-
-  /// Merges \p D into this cache's private delta: functor ids are
-  /// relocated into \p TargetSyms by (name, arity), every carried graph
-  /// is re-interned, and entries land as ordinary delta entries (a
-  /// following freeze() bakes them into the tier). \p TargetSyms must be
-  /// the table this cache was constructed over; it grows by the delta's
-  /// unknown symbols. Results stay exact only if the delta was produced
-  /// under the same normalization/widening configuration as this cache —
-  /// the lifecycle gates that via SharedCache::compatibleWith. When
-  /// \p GraphReloc is non-null, each graph entry carrying a source id
-  /// records its old-id -> new-id mapping there (compaction's relocation
-  /// table). Returns the number of entries newly recorded.
-  uint64_t absorbDelta(SymbolTable &TargetSyms, const CacheDelta &D,
-                       RelocationTable<CanonId> *GraphReloc = nullptr);
-
 private:
   /// True if \p Id's canonical graph carries a normalization certificate
   /// for this cache's options — the precondition of the equality and
@@ -256,21 +227,15 @@ private:
   /// Scratch buffers handed to every underlying graph operation, so the
   /// whole analysis shares one set of normalization work arrays.
   NormalizeScratch Scratch;
-  std::unordered_map<std::pair<CanonId, CanonId>, Counted<uint8_t>, PairHash>
-      Incl;
-  std::unordered_map<std::pair<CanonId, CanonId>, Counted<CanonId>, PairHash>
-      Union;
-  std::unordered_map<std::pair<CanonId, CanonId>, Counted<CanonId>, PairHash>
-      Inter;
-  std::unordered_map<std::pair<CanonId, CanonId>, Counted<CanonId>, PairHash>
-      Widen;
+  std::unordered_map<std::pair<CanonId, CanonId>, uint8_t, PairHash> Incl;
+  std::unordered_map<std::pair<CanonId, CanonId>, CanonId, PairHash> Union;
+  std::unordered_map<std::pair<CanonId, CanonId>, CanonId, PairHash> Inter;
+  std::unordered_map<std::pair<CanonId, CanonId>, CanonId, PairHash> Widen;
   /// (value id, functor) -> restriction outcome.
-  std::unordered_map<std::pair<CanonId, uint32_t>, Counted<RestrictMemo>,
-                     PairHash>
+  std::unordered_map<std::pair<CanonId, uint32_t>, RestrictMemo, PairHash>
       Restrict;
   /// [functor, arg ids...] -> constructed graph id.
-  std::unordered_map<std::vector<uint32_t>, Counted<CanonId>, IdVectorHash>
-      Construct;
+  std::unordered_map<std::vector<uint32_t>, CanonId, IdVectorHash> Construct;
   OpCacheStats St;
 };
 

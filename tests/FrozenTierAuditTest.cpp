@@ -155,82 +155,40 @@ TEST(FrozenTierAuditDeathTest, OpTierPostFreezeWriteFaults) {
 #endif
 }
 
-#ifdef GAIA_AUDIT
-/// A one-program warmup tier plus one harvested variant delta — the
-/// smallest honest refreeze cycle (tests the lifecycle paths, not the
-/// analysis; TierLifecycleTest owns the bit-identity story).
-std::shared_ptr<const SharedCache>
-buildTierWithDelta(std::shared_ptr<const CacheDelta> &DeltaOut) {
+/// The seal must survive stacking: a tier built over a previous tier is
+/// a brand-new freeze (old entries copied into a fresh arena, the new
+/// warmup's entries appended past them), and both halves must be as
+/// read-only as the original build.
+TEST(FrozenTierAuditDeathTest, StackedTierIsSealedLikeAFreshFreeze) {
+#ifndef GAIA_AUDIT
+  GTEST_SKIP() << "audit seal requires -DGAIA_AUDIT=ON";
+#else
   const BenchmarkProgram *B = findBenchmark("QU");
-  if (!B)
-    return nullptr;
-  std::vector<AnalysisJob> Warmup{{B->Key, B->Source, B->GoalSpec}};
+  ASSERT_NE(B, nullptr);
+  std::vector<AnalysisJob> Lower{{B->Key, B->Source, B->GoalSpec}};
   std::string Err;
   std::shared_ptr<const SharedCache> Cache =
-      SharedCache::build(Warmup, AnalyzerOptions{}, &Err);
-  if (!Cache)
-    return nullptr;
+      SharedCache::build(Lower, AnalyzerOptions{}, &Err);
+  ASSERT_NE(Cache, nullptr) << Err;
+  // A query variant the lower tier never saw, so the stacked tier has
+  // entries of its own.
   std::string Goal = B->GoalSpec;
   size_t Pos = Goal.find("any");
-  if (Pos != std::string::npos)
-    Goal.replace(Pos, 3, "list");
-  AnalyzerOptions Opts;
-  Opts.Shared = Cache;
-  Opts.CollectDelta = true;
-  Opts.DeltaMinHits = 1;
-  AnalysisResult R = analyzeProgram(B->Source, Goal, Opts);
-  if (!R.Ok)
-    return nullptr;
-  DeltaOut = R.Delta;
-  return Cache;
-}
-#endif
-
-/// The seal must survive the lifecycle: a *promoted* tier is a brand-new
-/// freeze (old entries copied into a fresh arena, absorbed entries
-/// appended past them), and both halves must be as read-only as the
-/// original build.
-TEST(FrozenTierAuditDeathTest, PromotedTierIsSealedLikeAFreshFreeze) {
-#ifndef GAIA_AUDIT
-  GTEST_SKIP() << "audit seal requires -DGAIA_AUDIT=ON";
-#else
-  std::shared_ptr<const CacheDelta> Delta;
-  std::shared_ptr<const SharedCache> Cache = buildTierWithDelta(Delta);
-  ASSERT_NE(Cache, nullptr);
-  ASSERT_NE(Delta, nullptr) << "the variant run must harvest a delta";
-  std::shared_ptr<const SharedCache> Promoted =
-      Cache->promoteAndRefreeze({Delta});
-  ASSERT_NE(Promoted, nullptr);
-  const FrozenInternTier &IT = *Promoted->ops()->Intern;
+  ASSERT_NE(Pos, std::string::npos);
+  Goal.replace(Pos, 3, "list");
+  std::vector<AnalysisJob> Upper{{B->Key + "#list", B->Source, Goal}};
+  AnalyzerOptions Over;
+  Over.Shared = Cache;
+  std::shared_ptr<const SharedCache> Stacked =
+      SharedCache::build(Upper, Over, &Err);
+  ASSERT_NE(Stacked, nullptr) << Err;
+  const FrozenInternTier &IT = *Stacked->ops()->Intern;
   ASSERT_TRUE(IT.Arena && IT.Arena->sealed());
-  ASSERT_GT(IT.size(), 0u);
-  // Both a carried-over entry (id 0) and the newest absorbed entry live
-  // in the promoted tier's sealed arena.
+  ASSERT_GT(IT.size(), Cache->ops()->Intern->size());
+  // Both a carried-over entry (id 0) and the newest stacked entry live
+  // in the stacked tier's sealed arena.
   EXPECT_DEATH(pokeConst(IT.Canon[0]), "");
   EXPECT_DEATH(pokeConst(IT.Canon[IT.size() - 1]), "");
-#endif
-}
-
-/// Same for a *compacted* tier: survivors are renumbered into a fresh
-/// arena and the result must fault on write exactly like the original.
-TEST(FrozenTierAuditDeathTest, CompactedTierIsSealedLikeAFreshFreeze) {
-#ifndef GAIA_AUDIT
-  GTEST_SKIP() << "audit seal requires -DGAIA_AUDIT=ON";
-#else
-  std::shared_ptr<const CacheDelta> Delta;
-  std::shared_ptr<const SharedCache> Cache = buildTierWithDelta(Delta);
-  ASSERT_NE(Cache, nullptr);
-  std::shared_ptr<const SharedCache> Compacted =
-      Cache->compactAndRefreeze(CompactionPolicy{});
-  ASSERT_NE(Compacted, nullptr);
-  const FrozenOpTier &OT = *Compacted->ops();
-  ASSERT_TRUE(OT.Arena && OT.Arena->sealed());
-  const FrozenInternTier &IT = *OT.Intern;
-  ASSERT_TRUE(IT.Arena && IT.Arena->sealed());
-  ASSERT_GT(IT.size(), 0u);
-  EXPECT_DEATH(pokeConst(IT.Canon[0]), "");
-  ASSERT_FALSE(OT.Union.empty());
-  EXPECT_DEATH(pokeConst(*OT.Union.begin()), "");
 #endif
 }
 

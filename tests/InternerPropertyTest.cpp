@@ -15,7 +15,10 @@
 ///     canonical unfold of its language, so certified graphs have equal
 ///     automaton keys iff they are structurally equal, and an
 ///     uncertified alias arriving mid-stream (backfill) or over a frozen
-///     tier still resolves to its language's id.
+///     tier still resolves to its language's id;
+///   - the RelocationTable currency freezes carry ids through: the
+///     identity table of a stacking freeze, and a fresh table whose ids
+///     stay Dropped until set.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +26,7 @@
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
 #include "support/GraphInterner.h"
+#include "support/Relocation.h"
 #include "typegraph/GrammarParser.h"
 #include "typegraph/GrammarPrinter.h"
 #include "typegraph/GraphOps.h"
@@ -463,6 +467,30 @@ TEST_F(InternerTest, StructuralHashIsBfsCanonical) {
   EXPECT_EQ(structuralHash(A), structuralHash(B));
   EXPECT_TRUE(structuralEqual(A, B));
   EXPECT_FALSE(structuralEqual(A, TypeGraph::makeInt()));
+}
+
+TEST(RelocationTableTest, IdentityMapsEveryIdToItself) {
+  RelocationTable<CanonId> R = RelocationTable<CanonId>::identity(5);
+  EXPECT_EQ(R.size(), 5u);
+  EXPECT_EQ(R.liveCount(), 5u);
+  for (CanonId Id = 0; Id != 5; ++Id) {
+    EXPECT_TRUE(R.live(Id));
+    EXPECT_EQ(R.map(Id), Id);
+  }
+}
+
+TEST(RelocationTableTest, FreshTableDropsEverythingUntilSet) {
+  RelocationTable<CanonId> R(4);
+  EXPECT_EQ(R.liveCount(), 0u);
+  for (CanonId Id = 0; Id != 4; ++Id)
+    EXPECT_FALSE(R.live(Id));
+  R.set(2, 0);
+  R.set(3, 1);
+  EXPECT_EQ(R.liveCount(), 2u);
+  EXPECT_FALSE(R.live(0));
+  EXPECT_TRUE(R.live(3));
+  EXPECT_EQ(R.map(2), 0u);
+  EXPECT_EQ(R.map(3), 1u);
 }
 
 } // namespace

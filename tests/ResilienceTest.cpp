@@ -15,7 +15,6 @@
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
 #include "runtime/AnalysisService.h"
-#include "runtime/TierLifecycle.h"
 #include "support/FaultInject.h"
 #include "typegraph/GraphOps.h"
 
@@ -86,7 +85,6 @@ TEST(Cancellation, PreCancelledTokenUnwindsToStructuredResult) {
   Token->cancel();
   AnalyzerOptions Opts;
   Opts.Cancel = Token;
-  Opts.CollectDelta = true;
   const BenchmarkProgram *B = findBenchmark("QU");
   ASSERT_NE(B, nullptr);
   AnalysisResult R = analyzeProgram(B->Source, B->GoalSpec, Opts);
@@ -95,7 +93,6 @@ TEST(Cancellation, PreCancelledTokenUnwindsToStructuredResult) {
   EXPECT_FALSE(R.Converged);
   EXPECT_TRUE(R.QueryOutput.empty());
   EXPECT_TRUE(R.Summaries.empty());
-  EXPECT_EQ(R.Delta, nullptr) << "a cancelled job must harvest nothing";
 }
 
 TEST(Cancellation, DeadlineExpiresMidFixpointOnAHeavyJob) {
@@ -103,13 +100,11 @@ TEST(Cancellation, DeadlineExpiresMidFixpointOnAHeavyJob) {
   ASSERT_NE(PR, nullptr);
   AnalyzerOptions Opts = heavyOpts();
   Opts.DeadlineMs = 1;
-  Opts.CollectDelta = true;
   AnalysisResult R = analyzeProgram(PR->Source, PR->GoalSpec, Opts);
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Fail, FailKind::Deadline);
   EXPECT_NE(R.Error.find("deadline"), std::string::npos) << R.Error;
   EXPECT_FALSE(R.Converged);
-  EXPECT_EQ(R.Delta, nullptr);
 }
 
 TEST(Cancellation, UnarmedOptionsChangeNothing) {
@@ -125,82 +120,50 @@ TEST(Cancellation, UnarmedOptionsChangeNothing) {
   EXPECT_EQ(fingerprint(Plain), fingerprint(Armed));
 }
 
-/// The satellite pin: a wave whose jobs are all cancelled mid-run,
-/// followed by a TierLifecycle rotation, must leave the shared tier,
-/// the delta harvest, and the promotion history exactly as if the wave
-/// had never been submitted.
-TEST(Cancellation, CancelledWaveLeavesNoTraceInTheTierLifecycle) {
+/// A wave whose jobs are all cancelled must leave the shared tier
+/// exactly as if the wave had never been submitted: a clean wave after
+/// it matches a clean wave before it, fingerprint for fingerprint.
+TEST(Cancellation, CancelledWaveLeavesNoTraceInTheSharedTier) {
   std::vector<AnalysisJob> Jobs = section9Jobs();
   std::string Err;
   std::shared_ptr<const SharedCache> Cache =
       SharedCache::build(Jobs, AnalyzerOptions{}, &Err);
   ASSERT_NE(Cache, nullptr) << Err;
+  const uint64_t GraphsBefore = Cache->ops()->Intern->size();
+  const uint64_t ResultsBefore = Cache->ops()->resultCount();
 
-  LifecyclePolicy LP;
-  LP.PromoteMinHits = 2;
-
-  // One wave of Jobs on a fresh 4-worker service over \p Tier,
-  // harvesting deltas; \p Cancel (when set) is the caller's wave token.
-  auto Wave = [&](std::shared_ptr<const SharedCache> Tier,
-                  std::shared_ptr<const CancelToken> Cancel,
+  // One wave of Jobs on a fresh 4-worker service over the tier; \p
+  // Cancel (when set) is the caller's wave token.
+  auto Wave = [&](std::shared_ptr<const CancelToken> Cancel,
                   BatchStats *St = nullptr) {
     ServiceOptions SO;
     SO.Workers = 4;
-    SO.Shared = std::move(Tier);
-    SO.CollectDeltas = true;
+    SO.Shared = Cache;
     SO.Opts.Cancel = std::move(Cancel);
     AnalysisService Svc(SO);
     return runBatch(Svc, Jobs, St);
   };
 
-  // Run A: one clean wave through a rotation.
   std::vector<std::string> CleanFps;
-  uint64_t CleanPromotions = 0;
-  {
-    TierLifecycle L(Cache, LP);
-    L.endBatch(Wave(L.current(), nullptr));
-    std::vector<JobOutcome> Out2 = Wave(L.current(), nullptr);
-    for (const JobOutcome &O : Out2)
-      CleanFps.push_back(fingerprint(O.Result));
-    L.endBatch(Out2);
-    CleanPromotions = L.stats().Promotions;
+  for (const JobOutcome &O : Wave(nullptr))
+    CleanFps.push_back(fingerprint(O.Result));
+
+  auto Token = std::make_shared<CancelToken>();
+  Token->cancel();
+  BatchStats CancelledStats;
+  std::vector<JobOutcome> Cancelled = Wave(Token, &CancelledStats);
+  ASSERT_EQ(Cancelled.size(), Jobs.size());
+  for (const JobOutcome &O : Cancelled) {
+    EXPECT_FALSE(O.Result.Ok);
+    EXPECT_EQ(O.Result.Fail, FailKind::Cancelled);
   }
+  EXPECT_EQ(CancelledStats.Failed, Jobs.size());
+  EXPECT_EQ(Cache->ops()->Intern->size(), GraphsBefore);
+  EXPECT_EQ(Cache->ops()->resultCount(), ResultsBefore);
 
-  // Run B: identical, except a fully-cancelled wave (same jobs, the
-  // caller's token tripped before submission) runs — and rotates —
-  // between the two.
-  {
-    TierLifecycle L(Cache, LP);
-    L.endBatch(Wave(L.current(), nullptr));
-
-    auto Token = std::make_shared<CancelToken>();
-    Token->cancel();
-    BatchStats CancelledStats;
-    std::vector<JobOutcome> Cancelled =
-        Wave(L.current(), Token, &CancelledStats);
-    ASSERT_EQ(Cancelled.size(), Jobs.size());
-    for (const JobOutcome &O : Cancelled) {
-      EXPECT_FALSE(O.Result.Ok);
-      EXPECT_EQ(O.Result.Fail, FailKind::Cancelled);
-      EXPECT_EQ(O.Result.Delta, nullptr)
-          << "cancelled jobs must not harvest deltas";
-    }
-    EXPECT_EQ(CancelledStats.Failed, Jobs.size());
-    uint64_t PromotionsBefore = L.stats().Promotions;
-    L.endBatch(Cancelled); // the rotation after the cancelled wave
-    EXPECT_EQ(L.stats().Promotions, PromotionsBefore)
-        << "a cancelled wave must promote nothing";
-
-    std::vector<JobOutcome> Out2 = Wave(L.current(), nullptr);
-    for (size_t I = 0; I != Out2.size(); ++I)
-      EXPECT_EQ(CleanFps[I], fingerprint(Out2[I].Result))
-          << Jobs[I].Key
-          << ": a cancelled wave left a trace in the shared tier";
-    // Same promotion count as the clean run, plus nothing extra: the
-    // cancelled wave contributed zero promotions (it advances the
-    // generation clock, which is time passing, not analysis state).
-    EXPECT_EQ(L.stats().Promotions, CleanPromotions);
-  }
+  std::vector<JobOutcome> After = Wave(nullptr);
+  for (size_t I = 0; I != After.size(); ++I)
+    EXPECT_EQ(CleanFps[I], fingerprint(After[I].Result)) << Jobs[I].Key;
 }
 
 TEST(ResilienceLadder, WidenToTopFloorIsSoundAndDegraded) {
@@ -285,8 +248,6 @@ TEST(ResilienceLadder, TightBudgetRungMarksResultsDegraded) {
         EXPECT_EQ(O.MaxFixpointRounds,
                   Mgr.options().TightMaxFixpointRounds);
         EXPECT_EQ(O.MaxInputPatterns, Mgr.options().TightMaxInputPatterns);
-        EXPECT_FALSE(O.CollectDelta)
-            << "a coarse run's entries must not promote into the tier";
         return analyzeProgram(Job.Source, Job.GoalSpec, O);
       },
       Rung, Attempts);

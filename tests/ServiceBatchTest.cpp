@@ -6,8 +6,8 @@
 /// (runtime/SharedCache.h): on any number of workers, in any scheduling
 /// order, results are bit-identical to a cold sequential analyzeProgram
 /// run. It also covers the tier mechanics: id-space layering,
-/// compatibility gating, re-freezing a batch on top of a previous
-/// batch's tier, and lifecycle rotation between waves.
+/// compatibility gating, and re-freezing a batch on top of a previous
+/// batch's tier.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,12 +15,10 @@
 
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
-#include "runtime/TierLifecycle.h"
 #include "typegraph/GrammarParser.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -189,94 +187,36 @@ TEST_F(ServiceBatchTest, RefreezingLayersANewTierOverTheOld) {
     EXPECT_EQ(fingerprint(Cold), fingerprint(Tiered)) << J.Key;
     EXPECT_GT(Tiered.Stats.OpCacheSharedHits, 0u) << J.Key;
   }
-}
 
-/// Three stacked generations, one service wave each, with promotion and
-/// compaction interleaved between waves (the tier-lifecycle rotation a
-/// long-running batch service runs). Every job of every generation must
-/// stay bit-identical to its cold run while the tier underneath is
-/// promoted (ids stacked) and then compacted (ids renumbered through
-/// relocation tables).
-TEST_F(ServiceBatchTest, LifecycleRotationAcrossThreeGenerationsStaysExact) {
-  // Base workload: four list-heavy programs under their published goals
-  // plus a "list" variant of each. The variants are *not* in the warmup
-  // tier, so generation 0 computes them in worker deltas — exactly what
-  // promotion is supposed to rescue for generations 1 and 2.
-  std::vector<AnalysisJob> Base;
-  for (const char *Key : {"QU", "DS", "PL", "BR"}) {
-    const BenchmarkProgram *B = findBenchmark(Key);
-    ASSERT_NE(B, nullptr);
-    Base.push_back({B->Key, B->Source, B->GoalSpec});
-    std::string Goal = B->GoalSpec;
-    size_t Pos = Goal.find("any");
-    if (Pos != std::string::npos) {
-      Goal.replace(Pos, 3, "list");
-      Base.push_back({B->Key + "#list", B->Source, Goal});
-    }
+  // Fresh vs stacked: the ten Section 9 programs frozen in one build
+  // (the suite tier) and in two stacked builds (first half, then the
+  // second half over it) serve byte-identical fingerprints, equal to
+  // the cold run's.
+  std::vector<AnalysisJob> Jobs = section9Jobs();
+  ASSERT_EQ(Jobs.size(), 10u);
+  std::vector<AnalysisJob> FirstHalf(Jobs.begin(),
+                                     Jobs.begin() + Jobs.size() / 2);
+  std::vector<AnalysisJob> SecondHalf(Jobs.begin() + Jobs.size() / 2,
+                                      Jobs.end());
+  std::shared_ptr<const SharedCache> Lower =
+      SharedCache::build(FirstHalf, AnalyzerOptions{}, &Err);
+  ASSERT_NE(Lower, nullptr) << Err;
+  AnalyzerOptions OverLower;
+  OverLower.Shared = Lower;
+  std::shared_ptr<const SharedCache> Stacked =
+      SharedCache::build(SecondHalf, OverLower, &Err);
+  ASSERT_NE(Stacked, nullptr) << Err;
+  AnalyzerOptions WithFresh, WithStacked;
+  WithFresh.Shared = Cache;
+  WithStacked.Shared = Stacked;
+  for (const AnalysisJob &J : Jobs) {
+    AnalysisResult Cold = analyzeProgram(J.Source, J.GoalSpec);
+    ASSERT_TRUE(Cold.Ok) << J.Key;
+    AnalysisResult Fresh = analyzeProgram(J.Source, J.GoalSpec, WithFresh);
+    AnalysisResult Stack = analyzeProgram(J.Source, J.GoalSpec, WithStacked);
+    EXPECT_EQ(fingerprint(Cold), fingerprint(Fresh)) << J.Key << " fresh";
+    EXPECT_EQ(fingerprint(Cold), fingerprint(Stack)) << J.Key << " stacked";
   }
-
-  // One generation-unique churn job per batch: its functors appear in no
-  // other generation, so its promoted entries go cold immediately and
-  // the cadence compaction must drop them.
-  auto Churn = [](unsigned Gen) {
-    std::string Tag = "wave_g" + std::to_string(Gen);
-    AnalysisJob J;
-    J.Key = Tag;
-    J.Source = "p([]).\n"
-               "p([" + Tag + "(X)|T]) :- q(X), p(T).\n"
-               "q(" + Tag + "(a_" + std::to_string(Gen) + ")).\n"
-               "q(b_" + std::to_string(Gen) + ").\n";
-    J.GoalSpec = "p(any)";
-    return J;
-  };
-
-  std::map<std::string, std::string> Oracle;
-  auto OracleFp = [&](const AnalysisJob &J) -> const std::string & {
-    std::string K = J.Key + "|" + J.GoalSpec;
-    auto It = Oracle.find(K);
-    if (It == Oracle.end())
-      It = Oracle
-               .emplace(K, fingerprint(analyzeProgram(J.Source, J.GoalSpec)))
-               .first;
-    return It->second;
-  };
-
-  LifecyclePolicy LP;
-  LP.PromoteMinHits = 2;
-  LP.CompactEvery = 2; // one cadence compaction inside three batches
-  LP.KeepGens = 1;
-  TierLifecycle L(Cache, LP);
-
-  uint64_t FirstSharedHits = 0, LastSharedHits = 0;
-  for (unsigned Gen = 0; Gen != 3; ++Gen) {
-    std::vector<AnalysisJob> Batch = Base;
-    Batch.push_back(Churn(Gen));
-    ServiceOptions SO = batchOptions(4, L.current());
-    SO.CollectDeltas = true;
-    AnalysisService Svc(SO);
-    BatchStats St;
-    std::vector<JobOutcome> Out = runBatch(Svc, Batch, &St);
-    ASSERT_EQ(Out.size(), Batch.size());
-    EXPECT_TRUE(St.AllOk);
-    for (size_t I = 0; I != Out.size(); ++I)
-      EXPECT_EQ(OracleFp(Batch[I]), fingerprint(Out[I].Result))
-          << Batch[I].Key << " in generation " << Gen;
-    if (Gen == 0)
-      FirstSharedHits = St.SharedHits;
-    LastSharedHits = St.SharedHits;
-    L.endBatch(Out);
-  }
-
-  // The rotation actually happened: deltas were promoted each batch, the
-  // cadence compaction fired and dropped the dead churn functors, and
-  // the promoted variants made the last batch resolve more operations
-  // from the tier than the first.
-  EXPECT_EQ(L.stats().Batches, 3u);
-  EXPECT_GT(L.stats().Promotions, 0u);
-  EXPECT_GT(L.stats().PromotedEntries, 0u);
-  EXPECT_GT(L.stats().Compactions, 0u);
-  EXPECT_GT(L.stats().DroppedGraphs, 0u);
-  EXPECT_GT(LastSharedHits, FirstSharedHits);
 }
 
 /// The malformed-input pin: one bad program in a 100-job batch fails

@@ -21,7 +21,6 @@
 
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
-#include "support/Relocation.h"
 #include "typegraph/GrammarParser.h"
 #include "typegraph/GrammarPrinter.h"
 #include "typegraph/GraphOps.h"
@@ -327,15 +326,12 @@ TEST(SharedCacheStressTest, ConcurrentAnalysesOverOneTierMatchColdRuns) {
     EXPECT_EQ(Got[I], Oracle[I % Oracle.size()]) << "job " << I;
 }
 
-/// Tier lifecycle under concurrency: a full wave of concurrent analyses
-/// runs over generation 0, its harvested deltas are promoted, two more
-/// concurrent waves run over the promoted tier (touching entries in the
-/// advanced generation), the tier is compacted, and a final wave runs
-/// over the compacted tier. Every wave must match the cold oracle
-/// bit-for-bit. Under TSan this is the suite that polices the touch
-/// generation counters: every shared-tier lookup stores into the
-/// per-graph atomic while seven other threads do the same.
-TEST(SharedCacheStressTest, ConcurrentWavesSurvivePromotionAndCompaction) {
+/// Concurrent waves over a fresh tier and over a tier stacked on it:
+/// the stacked tier is built from the wave's variant goals, which the
+/// fresh tier misses, so the second wave resolves them from the stacked
+/// tier's appended entries. Every wave must match the cold oracle
+/// bit-for-bit.
+TEST(SharedCacheStressTest, ConcurrentWavesMatchTheOracleOverAStackedTier) {
   std::vector<AnalysisJob> Warmup;
   for (const char *Key : {"QU", "DS", "PL", "BR"}) {
     const BenchmarkProgram *B = findBenchmark(Key);
@@ -348,7 +344,7 @@ TEST(SharedCacheStressTest, ConcurrentWavesSurvivePromotionAndCompaction) {
   ASSERT_NE(Cache, nullptr) << Err;
 
   // The wave workload: published goals (tier hits) plus "list"/"int"
-  // variants (tier misses that fill worker deltas for promotion).
+  // variants (misses in the fresh tier).
   std::vector<AnalysisJob> Jobs = Warmup;
   for (const AnalysisJob &W : Warmup)
     for (const char *Spec : {"list", "int"}) {
@@ -367,11 +363,9 @@ TEST(SharedCacheStressTest, ConcurrentWavesSurvivePromotionAndCompaction) {
     Oracle.push_back(analysisFingerprint(R));
   }
 
-  // One concurrent wave over \p Tier; returns the harvested deltas
-  // (all null unless \p Collect).
+  // One concurrent wave over \p Tier.
   auto Wave = [&](const std::shared_ptr<const SharedCache> &Tier,
-                  bool Collect, const char *Label) {
-    std::vector<std::shared_ptr<const CacheDelta>> Deltas(Jobs.size());
+                  const char *Label) {
     std::vector<std::string> Got(Jobs.size());
     std::vector<std::thread> Threads;
     for (unsigned T = 0; T != NumThreads; ++T)
@@ -379,47 +373,28 @@ TEST(SharedCacheStressTest, ConcurrentWavesSurvivePromotionAndCompaction) {
         for (size_t I = T; I < Jobs.size(); I += NumThreads) {
           AnalyzerOptions Opts;
           Opts.Shared = Tier;
-          Opts.CollectDelta = Collect;
-          Opts.DeltaMinHits = 1;
           AnalysisResult R =
               analyzeProgram(Jobs[I].Source, Jobs[I].GoalSpec, Opts);
           Got[I] = analysisFingerprint(R);
-          Deltas[I] = R.Delta;
         }
       });
     for (std::thread &T : Threads)
       T.join();
     for (size_t I = 0; I != Jobs.size(); ++I)
       EXPECT_EQ(Got[I], Oracle[I]) << Jobs[I].Key << " (" << Label << ")";
-    return Deltas;
   };
 
-  std::vector<std::shared_ptr<const CacheDelta>> Deltas =
-      Wave(Cache, /*Collect=*/true, "generation 0");
+  Wave(Cache, "fresh tier");
 
-  std::shared_ptr<const SharedCache> Promoted =
-      Cache->promoteAndRefreeze(Deltas);
-  ASSERT_NE(Promoted, nullptr);
-  EXPECT_GT(Promoted->stats().AbsorbedEntries, 0u)
-      << "the variant goals must have filled promotable deltas";
-  EXPECT_GE(Promoted->stats().Graphs, Cache->stats().Graphs);
-  Wave(Promoted, /*Collect=*/false, "promoted tier");
-
-  // New generation, then a wave that re-touches the live working set —
-  // the concurrent-touch traffic compaction liveness is built on.
-  Promoted->ops()->Intern->advanceGeneration();
-  Wave(Promoted, /*Collect=*/false, "promoted tier, generation 1");
-
-  CompactionPolicy CP;
-  CP.KeepGens = 0; // current generation only: the wave's working set
-  RelocationTable<CanonId> Reloc(Promoted->ops()->Intern->size());
-  std::shared_ptr<const SharedCache> Compacted =
-      Promoted->compactAndRefreeze(CP, &Reloc);
-  ASSERT_NE(Compacted, nullptr);
-  EXPECT_EQ(Reloc.size(), Promoted->ops()->Intern->size());
-  EXPECT_EQ(Reloc.liveCount() + Compacted->stats().DroppedGraphs,
-            Promoted->ops()->Intern->size());
-  Wave(Compacted, /*Collect=*/false, "compacted tier");
+  std::vector<AnalysisJob> Variants(Jobs.begin() + Warmup.size(), Jobs.end());
+  AnalyzerOptions Over;
+  Over.Shared = Cache;
+  std::shared_ptr<const SharedCache> Stacked =
+      SharedCache::build(Variants, Over, &Err);
+  ASSERT_NE(Stacked, nullptr) << Err;
+  EXPECT_GT(Stacked->stats().Graphs, Cache->stats().Graphs)
+      << "the variant goals must add languages to the stacked tier";
+  Wave(Stacked, "stacked tier");
 }
 
 } // namespace

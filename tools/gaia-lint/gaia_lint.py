@@ -8,9 +8,10 @@ scratch-buffer discipline rest on. This linter encodes them as checks
 over the real sources:
 
   freeze-fields            every data member of a Frozen*Tier type must
-                           be const (or std::atomic): tiers are shared
-                           by unsynchronized concurrent readers, so a
-                           writable field is a latent race.
+                           be const: tiers are shared by unsynchronized
+                           concurrent readers that never write to them,
+                           so a writable field (atomics included) is
+                           worker-written state a tier may not hold.
   freeze-methods           Frozen*Tier types must not declare non-const
                            member functions (constructors/destructors
                            exempt): a mutating entry point on a frozen
@@ -36,7 +37,7 @@ over the real sources:
                            stochastic must use a seeded local RNG.
   relocation-remap         a function that builds a FrozenInternTier or
                            FrozenPfTier from an existing tier (the
-                           refreeze/compaction paths in src/support and
+                           stacking freeze paths in src/support and
                            src/runtime) must route ids through the
                            RelocationTable API: raw id arithmetic across
                            tier boundaries silently breaks the moment a
@@ -521,7 +522,7 @@ def is_const_member_fn(m: Member):
 
 def field_is_immutable(m: Member):
     txts = member_texts(m)
-    return "const" in txts or "constexpr" in txts or "atomic" in txts
+    return "const" in txts or "constexpr" in txts
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +568,8 @@ def check_tier_classes(classes, findings):
                     findings.append(Finding(
                         "freeze-fields", c.file, m.line, name,
                         f"{c.name}::{name} is a mutable field of a frozen tier "
-                        "type; every tier field must be const or std::atomic "
-                        "so the never-written-after-freeze contract is "
+                        "type; every tier field must be const so the "
+                        "never-written-after-freeze contract is "
                         "compiler-checked"))
 
 
@@ -758,8 +759,8 @@ def check_relocation_remap(file, toks, findings):
             "relocation-remap", file, line, name,
             f"{name} builds a frozen tier from an existing tier without a "
             "RelocationTable; raw id arithmetic across tier boundaries "
-            "breaks silently when a rebuild (promotion/compaction) "
-            "renumbers the dense id spaces"))
+            "breaks silently when a rebuild renumbers the dense id "
+            "spaces"))
 
 
 def check_worker_noexcept(file, toks, findings):

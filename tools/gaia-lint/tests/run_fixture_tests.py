@@ -21,8 +21,8 @@ LINT = os.path.join(HERE, os.pardir, "gaia_lint.py")
 # fixture -> (findings that MUST be present, symbols that MUST be absent)
 CASES = {
     "freeze_fields_bad.cpp": (
-        [("freeze-fields", "Count")],
-        ["Ids", "Readers", "size"],
+        [("freeze-fields", "Readers"), ("freeze-fields", "Count")],
+        ["Ids", "size"],
     ),
     "freeze_methods_bad.cpp": (
         [("freeze-methods", "bump")],
