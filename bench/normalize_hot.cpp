@@ -2,16 +2,22 @@
 ///
 /// \file
 /// google-benchmark microbenchmarks for the type-graph hot path:
-/// `normalizeGraph`, `graphUnion` and `graphIntersect` on the deepest
-/// graphs the PR and RE analyses actually produce (these two programs
-/// dominate Table 3's uncapped solve time), plus the certified-copy fast
-/// path and graph copying itself.
+/// `normalizeGraph`, `graphUnion`, `graphIntersect` and the widening's
+/// `collapsingUnionFrom` on the deepest graphs the PR and RE analyses
+/// actually produce (these two programs dominate Table 3's uncapped
+/// solve time), plus the certified-copy fast path and graph copying
+/// itself. Two synthetic automata of the size the analyses normalize
+/// (7 and 13 states) isolate the minimizer: one already minimal, so the
+/// partition is discrete from the start, and one made of two
+/// isomorphic halves that minimization merges.
 ///
 /// Besides wall time, every benchmark reports **heap allocations per
-/// operation** via a counting global `operator new` — the tentpole claim
-/// of the inline-successor + scratch-buffer work is that the per-op
-/// allocation count collapses, and this harness is where that is
-/// measured rather than asserted.
+/// operation** via a counting global `operator new`. Normalization runs
+/// on flat, reused NormalizeScratch pools (fixed-size state records,
+/// one key/transition/argument pool, open-addressing tables cleared by
+/// epoch, a scratch tree emitted once in breadth-first order), so a warm
+/// normalization should allocate only its output graph; this harness is
+/// where that is measured rather than asserted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -178,6 +184,66 @@ void BM_StructuralHashCold(benchmark::State &State, Corpus &(*Get)()) {
   reportAllocs(State, Start);
 }
 
+void BM_CollapsingUnion(benchmark::State &State, Corpus &(*Get)()) {
+  Corpus &C = Get();
+  const TypeGraph &A = C.Graphs.front();
+  // The root plus the first argument of its first compound alternative:
+  // the shape of the widening's replacement-rule unions.
+  std::vector<NodeId> Start{A.root()};
+  for (NodeId S : A.node(A.root()).Succs)
+    if (A.node(S).Kind == NodeKind::Func && !A.node(S).Succs.empty()) {
+      Start.push_back(A.node(S).Succs[0]);
+      break;
+    }
+  NormalizeScratch Scratch;
+  uint64_t Start0 = GAllocs;
+  for (auto _ : State) {
+    TypeGraph U = collapsingUnionFrom(A, Start, *C.Syms, {}, &Scratch);
+    benchmark::DoNotOptimize(U.numNodes());
+  }
+  reportAllocs(State, Start0);
+}
+
+/// A raw chain T_i ::= a_i | f_i(T_{i+1}) closed into a cycle, rooted at
+/// g(T_0, U_0) over \p Halves such chains sharing one functor alphabet
+/// (1 + 6 * Halves states). With one half every state has its own
+/// functors, so the minimizer's initial partition is already discrete;
+/// with two, U_i and T_i are distinct subset states with equal languages
+/// and minimization merges them.
+TypeGraph chainAutomaton(SymbolTable &Syms, unsigned Halves) {
+  constexpr unsigned Len = 6;
+  TypeGraph G;
+  SuccList Heads;
+  for (unsigned H = 0; H != Halves; ++H) {
+    NodeId First = G.numNodes();
+    for (unsigned I = 0; I != Len; ++I)
+      G.addOr({});
+    for (unsigned I = 0; I != Len; ++I) {
+      std::string N = std::to_string(I);
+      NodeId Leaf = G.addFunc(Syms.functor("a" + N, 0), {});
+      NodeId Next = First + (I + 1) % Len;
+      NodeId Fn = G.addFunc(Syms.functor("f" + N, 1), {Next});
+      G.node(First + I).Succs = {Leaf, Fn};
+    }
+    Heads.push_back(First);
+  }
+  NodeId Top = G.addFunc(Syms.functor("g", Halves), std::move(Heads));
+  G.setRoot(G.addOr({Top}));
+  return G;
+}
+
+void BM_Minimize(benchmark::State &State, unsigned Halves) {
+  SymbolTable Syms;
+  TypeGraph Raw = chainAutomaton(Syms, Halves);
+  NormalizeScratch Scratch;
+  uint64_t Start = GAllocs;
+  for (auto _ : State) {
+    TypeGraph N = normalizeGraph(Raw, Syms, {}, &Scratch);
+    benchmark::DoNotOptimize(N.numNodes());
+  }
+  reportAllocs(State, Start);
+}
+
 void registerAll(const char *Tag, Corpus &(*Get)()) {
   auto Reg = [&](const char *Name, void (*Fn)(benchmark::State &,
                                               Corpus &(*)())) {
@@ -191,6 +257,7 @@ void registerAll(const char *Tag, Corpus &(*Get)()) {
   Reg("BM_GraphIntersect", BM_GraphIntersect);
   Reg("BM_GraphCopy", BM_GraphCopy);
   Reg("BM_StructuralHashCold", BM_StructuralHashCold);
+  Reg("BM_CollapsingUnion", BM_CollapsingUnion);
 }
 
 } // namespace
@@ -208,6 +275,10 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(RE.Graphs.front().sizeMetric()));
   registerAll("PR", corpusPR);
   registerAll("RE", corpusRE);
+  benchmark::RegisterBenchmark("BM_MinimizeNoMerge",
+                               [](benchmark::State &S) { BM_Minimize(S, 1); });
+  benchmark::RegisterBenchmark("BM_MinimizeMerge",
+                               [](benchmark::State &S) { BM_Minimize(S, 2); });
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

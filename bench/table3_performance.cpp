@@ -17,12 +17,21 @@
 /// BENCH_TABLE3_JSON environment variable; set it to the empty string
 /// to skip the file.
 ///
+/// Every solve time is the minimum over TimingRepetitions runs of its
+/// configuration, and the totals are sums of those minima: a single run
+/// of the table spread 27% between back-to-back invocations of one
+/// binary, against a 30% regression gate, and the minimum is the
+/// statistic least disturbed by other load on a shared host. Counters
+/// come from the first run; every repetition must reproduce them (the
+/// analysis is deterministic), or the harness fails.
+///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -105,14 +114,38 @@ double cacheHitRate(const AnalysisResult &R) {
 }
 
 
-std::vector<Table3Row> runTable3(bool &PerProgramRss) {
+constexpr unsigned TimingRepetitions = 5;
+
+/// Re-runs \p B under \p Opts until TimingRepetitions runs are done and
+/// lowers \p R's solve time to the fastest. Returns false if a run's
+/// work counters differ from \p R's.
+bool keepFastestSolve(const BenchmarkProgram &B, const AnalyzerOptions &Opts,
+                      AnalysisResult &R) {
+  for (unsigned I = 1; I < TimingRepetitions; ++I) {
+    AnalysisResult Again = runBenchmark(B, Opts);
+    if (Again.Stats.ProcedureIterations != R.Stats.ProcedureIterations ||
+        Again.Stats.ClauseIterations != R.Stats.ClauseIterations ||
+        Again.Stats.OpCacheMisses != R.Stats.OpCacheMisses) {
+      std::fprintf(stderr,
+                   "error: %s: repetition %u changed the work counters\n",
+                   B.Key.c_str(), I);
+      return false;
+    }
+    R.Stats.SolveSeconds =
+        std::min(R.Stats.SolveSeconds, Again.Stats.SolveSeconds);
+  }
+  return true;
+}
+
+std::vector<Table3Row> runTable3(bool &PerProgramRss, bool &Deterministic) {
   std::vector<Table3Row> Rows;
   PerProgramRss = true;
+  Deterministic = true;
   for (const BenchmarkProgram &B : table123Suite()) {
     Table3Row Row;
     Row.Key = B.Key;
     AnalyzerOptions Base;
-    // Peak RSS brackets the uncapped run — the configuration the
+    // Peak RSS brackets the first uncapped run — the configuration the
     // paper's memory column measures.
     PerProgramRss = resetPeakRss() && PerProgramRss;
     Row.Base = runBenchmark(B, Base);
@@ -123,6 +156,9 @@ std::vector<Table3Row> runTable3(bool &PerProgramRss) {
     AnalyzerOptions Cap2 = Base;
     Cap2.OrCap = 2;
     Row.Cap2 = runBenchmark(B, Cap2);
+    Deterministic = keepFastestSolve(B, Base, Row.Base) &&
+                    keepFastestSolve(B, Cap5, Row.Cap5) &&
+                    keepFastestSolve(B, Cap2, Row.Cap2) && Deterministic;
     Rows.push_back(std::move(Row));
   }
   return Rows;
@@ -238,8 +274,10 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
                "  ],\n  \"total_solve_seconds\": %.6f,\n"
                "  \"total_solve_seconds_cap5\": %.6f,\n"
                "  \"total_solve_seconds_cap2\": %.6f,\n"
+               "  \"timing_repetitions\": %u,\n"
                "  \"peak_rss_per_program\": %s\n}\n",
-               Total, Total5, Total2, PerProgramRss ? "true" : "false");
+               Total, Total5, Total2, TimingRepetitions,
+               PerProgramRss ? "true" : "false");
   std::fclose(F);
   std::printf("wrote %s (total %.3fs, cap5 %.3fs, cap2 %.3fs)\n\n", Path,
               Total, Total5, Total2);
@@ -257,8 +295,10 @@ void BM_Analyze(benchmark::State &State, const std::string &Key) {
 } // namespace
 
 int main(int argc, char **argv) {
-  bool PerProgramRss = false;
-  std::vector<Table3Row> Rows = runTable3(PerProgramRss);
+  bool PerProgramRss = false, Deterministic = false;
+  std::vector<Table3Row> Rows = runTable3(PerProgramRss, Deterministic);
+  if (!Deterministic)
+    return 1;
   printTable3(Rows);
   if (!PerProgramRss)
     std::printf("note: peak-RSS watermark reset unavailable; rss column "

@@ -71,7 +71,7 @@ struct TypeLeaf {
   }
   static Value listValue(const Context &Ctx) {
     if (!Ctx.Consts->AnyList)
-      Ctx.Consts->AnyList = TypeGraph::makeAnyList(Ctx.Syms);
+      Ctx.Consts->AnyList = TypeGraph::makeAnyList(Ctx.Syms, &Ctx.Norm);
     return primed(Ctx, *Ctx.Consts->AnyList);
   }
   static Value bottom(const Context &Ctx) {

@@ -112,6 +112,7 @@ struct AnalysisService::Impl {
   std::condition_variable NotFull;  ///< Block-policy submitters wait here
   std::condition_variable Idle;     ///< drain waits for a quiet service
   std::condition_variable WatchCV;  ///< watchdog's interruptible timer
+  std::condition_variable Parked;   ///< ctor waits for every worker
 
   std::deque<Entry> Queue;                        ///< guarded by M
   std::vector<std::shared_ptr<WorkerSlot>> Slots; ///< guarded by M
@@ -123,6 +124,7 @@ struct AnalysisService::Impl {
   bool Drained = false;  ///< drain() finished
   uint64_t NextSeq = 0;
   uint32_t Busy = 0; ///< workers currently running a job
+  uint32_t Started = 0; ///< workers that reached their first queue wait
   ServiceStats St;   ///< counters + PeakQueueDepth (gauges built on read)
   OverloadState State = OverloadState::Healthy;
   double EwmaJobMs = 0;
@@ -145,6 +147,14 @@ AnalysisService::AnalysisService(ServiceOptions Options)
   }
   if (In->Options.WatchdogPollMs != 0)
     In->Watchdog = std::thread(&AnalysisService::watchdogLoop, In);
+  // Return only once every worker is parked on the queue. A thread still
+  // starting up when the first jobs arrive leaves them queued until the
+  // scheduler first runs it: with one worker already busy on a 4-thread
+  // host, the others entered their loop 2, 6 and 10 ms after the
+  // constructor returned — long enough to shed 10 ms-deadline jobs at
+  // dequeue. A parked thread, by contrast, wakes on notify.
+  std::unique_lock<std::mutex> L(In->M);
+  In->Parked.wait(L, [&] { return In->Started >= N; });
 }
 
 AnalysisService::~AnalysisService() {
@@ -275,10 +285,18 @@ ServiceTicketPtr AnalysisService::submitImpl(ServiceRequest R,
 
 void AnalysisService::workerLoop(std::shared_ptr<Impl> In,
                                  std::shared_ptr<WorkerSlot> Slot) {
+  bool Counted = false;
   for (;;) {
     Impl::Entry E;
     {
       std::unique_lock<std::mutex> L(In->M);
+      if (!Counted) {
+        // Counted under the lock the wait below releases: the
+        // constructor observes the count only once this thread waits.
+        Counted = true;
+        ++In->Started;
+        In->Parked.notify_all();
+      }
       In->NotEmpty.wait(L, [&] {
         return In->Stopping || Slot->Poisoned || !In->Queue.empty();
       });

@@ -134,7 +134,7 @@ SharedCache::build(const std::vector<AnalysisJob> &Warmup,
   // so the cached (epoch, id) pairs survive into every job's copy. A
   // constant whose language the tier does not hold simply stays
   // unprimed (the job's delta interner picks it up on first use).
-  SC->Consts.AnyList = TypeGraph::makeAnyList(SC->Syms);
+  SC->Consts.AnyList = TypeGraph::makeAnyList(SC->Syms, &Norm);
   {
     GraphInterner Primer(SC->Syms, SC->Ops->Intern);
     Primer.intern(SC->Consts.Any);

@@ -40,57 +40,13 @@ struct IdVectorHash {
   }
 };
 
-/// Non-owning view of a 64-bit word sequence, for transparent hash-map
-/// lookups that avoid materializing a vector (the minimizer's partition
-/// signatures are assembled in a reused scratch buffer and only copied
-/// into the table on first insertion).
-struct U64View {
-  const uint64_t *Data;
-  std::size_t Size;
-};
-
 /// Hashes a vector of 64-bit words (used for serialized automaton keys).
-/// Transparent: accepts U64View lookups.
 struct U64VectorHash {
-  using is_transparent = void;
   std::size_t operator()(const std::vector<uint64_t> &V) const {
-    return hash(V.data(), V.size());
-  }
-  std::size_t operator()(const U64View &V) const {
-    return hash(V.Data, V.Size);
-  }
-  static std::size_t hash(const uint64_t *D, std::size_t N) {
-    std::size_t Seed = N;
-    for (std::size_t I = 0; I != N; ++I)
-      hashCombine(Seed, std::hash<uint64_t>()(D[I]));
+    std::size_t Seed = V.size();
+    for (uint64_t X : V)
+      hashCombine(Seed, std::hash<uint64_t>()(X));
     return Seed;
-  }
-};
-
-/// Transparent equality companion of U64VectorHash.
-struct U64VectorEq {
-  using is_transparent = void;
-  static bool eq(const uint64_t *A, std::size_t NA, const uint64_t *B,
-                 std::size_t NB) {
-    if (NA != NB)
-      return false;
-    for (std::size_t I = 0; I != NA; ++I)
-      if (A[I] != B[I])
-        return false;
-    return true;
-  }
-  bool operator()(const std::vector<uint64_t> &A,
-                  const std::vector<uint64_t> &B) const {
-    return eq(A.data(), A.size(), B.data(), B.size());
-  }
-  bool operator()(const U64View &A, const std::vector<uint64_t> &B) const {
-    return eq(A.Data, A.Size, B.data(), B.size());
-  }
-  bool operator()(const std::vector<uint64_t> &A, const U64View &B) const {
-    return eq(A.data(), A.size(), B.Data, B.Size);
-  }
-  bool operator()(const U64View &A, const U64View &B) const {
-    return eq(A.Data, A.Size, B.Data, B.Size);
   }
 };
 

@@ -9,8 +9,6 @@
 #include "support/SmallVector.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
 
 using namespace gaia;
 
@@ -36,15 +34,9 @@ static NormalizeScratch &scratchOr(NormalizeScratch *S) {
   return S ? *S : TLS;
 }
 
-/// Deterministic-automaton state produced by the subset construction.
-struct DetState {
-  bool IsAny = false;
-  bool HasInt = false;
-  /// Sorted by functor (name, arity); each entry maps a functor to the
-  /// ids of the argument states.
-  std::vector<std::pair<FunctorId, std::vector<uint32_t>>> Trans;
-  bool Productive = false;
-};
+using DetState = NormalizeScratch::DetState;
+using DetTrans = NormalizeScratch::DetTrans;
+using TreeNode = NormalizeScratch::TreeNode;
 
 /// Expands \p Roots through nested or-vertices into leaf/functor
 /// constituents and canonicalizes into a sorted unique key, assembled in
@@ -95,79 +87,87 @@ static void closureKey(const TypeGraph &G, const NodeId *Roots,
     Key.push_back(IntMarker);
 }
 
-/// Transparent (vector / raw-span) hashing for the state-key map, so a
-/// lookup of the scratch key buffer does not materialize a vector.
-struct KeyView {
-  const NodeId *Data;
-  size_t Size;
-};
-struct KeyHash {
-  using is_transparent = void;
-  size_t operator()(const std::vector<NodeId> &V) const {
-    return hash(V.data(), V.size());
-  }
-  size_t operator()(const KeyView &K) const { return hash(K.Data, K.Size); }
-  static size_t hash(const NodeId *D, size_t N) {
-    std::size_t Seed = N;
-    for (size_t I = 0; I != N; ++I)
-      hashCombine(Seed, D[I]);
-    return Seed;
-  }
-};
-struct KeyEq {
-  using is_transparent = void;
-  static bool eq(const NodeId *A, size_t NA, const NodeId *B, size_t NB) {
-    return NA == NB && std::equal(A, A + NA, B);
-  }
-  bool operator()(const std::vector<NodeId> &A,
-                  const std::vector<NodeId> &B) const {
-    return eq(A.data(), A.size(), B.data(), B.size());
-  }
-  bool operator()(const KeyView &A, const std::vector<NodeId> &B) const {
-    return eq(A.Data, A.Size, B.data(), B.size());
-  }
-  bool operator()(const std::vector<NodeId> &A, const KeyView &B) const {
-    return eq(A.data(), A.size(), B.Data, B.Size);
-  }
-  bool operator()(const KeyView &A, const KeyView &B) const {
-    return eq(A.Data, A.Size, B.Data, B.Size);
-  }
-};
+static uint32_t hashKey(const NodeId *Key, size_t Len) {
+  std::size_t Seed = Len;
+  for (size_t I = 0; I != Len; ++I)
+    hashCombine(Seed, Key[I]);
+  return static_cast<uint32_t>(Seed ^ (Seed >> 32));
+}
 
-/// Shared machinery for both subset constructions: state storage,
-/// transition computation, productivity pruning and the unfolding step.
+/// Shared machinery for both subset constructions: state creation,
+/// transition computation, productivity pruning, minimization and the
+/// canonical unfolding. Owns no containers: the automaton, the
+/// partition and the unfolded tree all live in the caller's scratch.
 class DetBuilderBase {
 public:
   DetBuilderBase(const TypeGraph &G, const SymbolTable &Syms,
                  const NormalizeOptions &Opts, NormalizeScratch &Scratch)
-      : G(G), Syms(Syms), Opts(Opts), Scratch(Scratch) {}
+      : G(G), Syms(Syms), Opts(Opts), Scratch(Scratch) {
+    Scratch.States.clear();
+    Scratch.KeyPool.clear();
+    Scratch.TransPool.clear();
+    Scratch.ArgPool.clear();
+    Scratch.PathStates.clear();
+    Scratch.StateIds.reset(0);
+  }
 
 protected:
+  /// The state whose key is Scratch.KeyBuf, or NotFound; \p Hash is the
+  /// key's hash.
+  uint32_t findState(uint32_t Hash) const {
+    const std::vector<NodeId> &Key = Scratch.KeyBuf;
+    return Scratch.StateIds.find(Hash, [&](uint32_t Id) {
+      const DetState &S = Scratch.States[Id];
+      return S.KeyLen == Key.size() &&
+             std::equal(Key.begin(), Key.end(),
+                        Scratch.KeyPool.begin() + S.KeyOff);
+    });
+  }
+
+  /// Creates a state keyed by Scratch.KeyBuf (hash \p Hash); its
+  /// transitions are computed later.
+  uint32_t addState(uint32_t Hash) {
+    uint32_t Id = Scratch.StateIds.insert(Hash);
+    DetState S;
+    S.KeyOff = static_cast<uint32_t>(Scratch.KeyPool.size());
+    S.KeyLen = static_cast<uint32_t>(Scratch.KeyBuf.size());
+    Scratch.KeyPool.insert(Scratch.KeyPool.end(), Scratch.KeyBuf.begin(),
+                           Scratch.KeyBuf.end());
+    Scratch.States.push_back(S);
+    return Id;
+  }
+
   /// Computes the functor transitions of state \p Id from its key. Each
   /// argument state is requested through \p ArgState, which differs
   /// between the exact and the collapsing construction. Re-entrant (the
-  /// collapsing construction recurses through ArgState), so the
-  /// per-invocation buffers are inline-storage locals, not scratch.
+  /// collapsing construction recurses through ArgState and appends to
+  /// every pool), so the key is consumed before the first ArgState call,
+  /// the state's transitions are gathered in inline-storage locals and
+  /// appended to the pools only at the end, and no reference into a
+  /// pool is held across a call.
   template <typename ArgStateFn>
   void computeTransitions(uint32_t Id, ArgStateFn ArgState) {
-    // StateKeys is a deque: growth through ArgState's state creation
-    // does not invalidate this reference.
-    const std::vector<NodeId> &Key = StateKeys[Id];
-    if (!Key.empty() && Key[0] == AnyMarker) {
-      States[Id].IsAny = true;
+    const uint32_t KeyOff = Scratch.States[Id].KeyOff;
+    const uint32_t KeyLen = Scratch.States[Id].KeyLen;
+    const NodeId *Key = Scratch.KeyPool.data() + KeyOff;
+    if (KeyLen != 0 && Key[0] == AnyMarker) {
+      Scratch.States[Id].IsAny = true;
       return;
     }
-    bool HasInt = !Key.empty() && Key.back() == IntMarker;
+    bool HasInt = KeyLen != 0 && Key[KeyLen - 1] == IntMarker;
 
     // Functor constituents in (name, arity) order via the memoized
-    // functor ranks; a stable sort keeps same-functor members in key
-    // (ascending vertex id) order, matching the historic grouping.
+    // functor ranks, same-functor members in key (ascending vertex id)
+    // order — the historic stable grouping, without stable_sort's
+    // temporary buffer. Only vertex constituents share a functor: a
+    // nullary functor has exactly one (deduplicated) marker.
     struct FnConst {
       FunctorId Fn;
       NodeId V; ///< InvalidNode for nullary markers
     };
     SmallVector<FnConst, 8> Consts;
-    for (NodeId V : Key) {
+    for (uint32_t I = 0; I != KeyLen; ++I) {
+      NodeId V = Key[I];
       if (V == IntMarker)
         continue;
       FunctorId Fn = isNullaryMarker(V) ? (V & ~NullaryFlag) : G.node(V).Fn;
@@ -175,11 +175,12 @@ protected:
         continue; // absorbed by Int
       Consts.push_back({Fn, isNullaryMarker(V) ? InvalidNode : V});
     }
-    std::stable_sort(Consts.begin(), Consts.end(),
-                     [&](const FnConst &A, const FnConst &B) {
-                       return Syms.functorRank(A.Fn) <
-                              Syms.functorRank(B.Fn);
-                     });
+    std::sort(Consts.begin(), Consts.end(),
+              [&](const FnConst &A, const FnConst &B) {
+                uint32_t RA = Syms.functorRank(A.Fn);
+                uint32_t RB = Syms.functorRank(B.Fn);
+                return RA != RB ? RA < RB : A.V < B.V;
+              });
 
     // Or-degree cap of Section 9 (count distinct functors).
     uint32_t Degree = HasInt ? 1 : 0;
@@ -187,34 +188,53 @@ protected:
       if (I == 0 || Consts[I].Fn != Consts[I - 1].Fn)
         ++Degree;
     if (Opts.OrCap != 0 && Degree > Opts.OrCap) {
-      States[Id].IsAny = true;
+      Scratch.States[Id].IsAny = true;
       return;
     }
 
-    std::vector<std::pair<FunctorId, std::vector<uint32_t>>> Trans;
+    // ArgOff is relative to Args until the final append.
+    SmallVector<DetTrans, 4> Trans;
+    SmallVector<uint32_t, 8> Args;
     for (size_t I = 0; I != Consts.size();) {
       FunctorId Fn = Consts[I].Fn;
       size_t E = I;
       while (E != Consts.size() && Consts[E].Fn == Fn)
         ++E;
       uint32_t Arity = Syms.functorArity(Fn);
-      std::vector<uint32_t> Args;
-      Args.reserve(Arity);
+      Trans.push_back({Fn, static_cast<uint32_t>(Args.size()), Arity});
       for (uint32_t J = 0; J != Arity; ++J) {
         SmallVector<NodeId, 8> ArgRoots;
         for (size_t K = I; K != E; ++K)
           if (Consts[K].V != InvalidNode)
             ArgRoots.push_back(G.node(Consts[K].V).Succs[J]);
-        Args.push_back(ArgState(ArgRoots.data(), ArgRoots.size()));
+        uint32_t A = ArgState(ArgRoots.data(), ArgRoots.size());
+        Args.push_back(A);
       }
-      Trans.emplace_back(Fn, std::move(Args));
       I = E;
     }
-    States[Id].HasInt = HasInt;
-    States[Id].Trans = std::move(Trans);
+    uint32_t ArgBase = static_cast<uint32_t>(Scratch.ArgPool.size());
+    Scratch.ArgPool.insert(Scratch.ArgPool.end(), Args.begin(), Args.end());
+    DetState &S = Scratch.States[Id];
+    S.HasInt = HasInt;
+    S.TransOff = static_cast<uint32_t>(Scratch.TransPool.size());
+    S.NumTrans = static_cast<uint32_t>(Trans.size());
+    for (DetTrans T : Trans) {
+      T.ArgOff += ArgBase;
+      Scratch.TransPool.push_back(T);
+    }
   }
 
+  bool allArgsProductive(const DetTrans &T) const {
+    for (uint32_t K = 0; K != T.NumArgs; ++K)
+      if (!Scratch.States[Scratch.ArgPool[T.ArgOff + K]].Productive)
+        return false;
+    return true;
+  }
+
+  /// Marks the states with a non-empty denotation and drops every
+  /// transition into an empty one (in place, within each state's span).
   void computeProductivity() {
+    std::vector<DetState> &States = Scratch.States;
     bool Changed = true;
     while (Changed) {
       Changed = false;
@@ -222,20 +242,8 @@ protected:
         if (S.Productive)
           continue;
         bool Prod = S.IsAny || S.HasInt;
-        if (!Prod) {
-          for (const auto &[Fn, Args] : S.Trans) {
-            bool AllProd = true;
-            for (uint32_t A : Args)
-              if (!States[A].Productive) {
-                AllProd = false;
-                break;
-              }
-            if (AllProd) {
-              Prod = true;
-              break;
-            }
-          }
-        }
+        for (uint32_t T = 0; !Prod && T != S.NumTrans; ++T)
+          Prod = allArgsProductive(Scratch.TransPool[S.TransOff + T]);
         if (Prod) {
           S.Productive = true;
           Changed = true;
@@ -243,136 +251,247 @@ protected:
       }
     }
     for (DetState &S : States) {
-      std::erase_if(S.Trans, [&](const auto &T) {
-        for (uint32_t A : T.second)
-          if (!States[A].Productive)
-            return true;
-        return false;
-      });
+      uint32_t Kept = 0;
+      for (uint32_t T = 0; T != S.NumTrans; ++T) {
+        const DetTrans Tr = Scratch.TransPool[S.TransOff + T];
+        if (allArgsProductive(Tr))
+          Scratch.TransPool[S.TransOff + Kept++] = Tr;
+      }
+      S.NumTrans = Kept;
     }
   }
 
-  NodeId unfold(uint32_t St, TypeGraph &Out,
-                std::vector<std::pair<uint32_t, NodeId>> &Path) {
-    for (const auto &[S, N] : Path)
-      if (S == St)
-        return N; // back edge to an ancestor or-vertex
-    const DetState &State = States[St];
-    NodeId Or = Out.addOr({});
-    if (State.IsAny || Out.numNodes() > Opts.MaxNodes ||
-        (Opts.MaxDepth != 0 && Path.size() >= Opts.MaxDepth)) {
-      // A defensive-bound collapse (node or depth budget) loses the
-      // certificate: re-normalizing the truncated result may merge the
-      // states the truncation made equivalent.
-      if (!State.IsAny)
-        Truncated = true;
-      NodeId Leaf = Out.addAny();
-      Out.node(Or).Succs = {Leaf};
-      return Or;
+  /// Hash of state \p I's signature in the current refinement round:
+  /// its block (or, for the initial partition, its flags) and, per
+  /// transition, the functor and the blocks of the argument states.
+  uint32_t signatureHash(uint32_t I, bool Initial) const {
+    const DetState &S = Scratch.States[I];
+    std::size_t Seed = Initial ? (S.IsAny ? 2 : 0) | (S.HasInt ? 1 : 0)
+                               : Scratch.Block[I];
+    hashCombine(Seed, S.NumTrans);
+    for (uint32_t T = 0; T != S.NumTrans; ++T) {
+      const DetTrans &Tr = Scratch.TransPool[S.TransOff + T];
+      hashCombine(Seed, Tr.Fn);
+      if (!Initial)
+        for (uint32_t K = 0; K != Tr.NumArgs; ++K)
+          hashCombine(Seed, Scratch.Block[Scratch.ArgPool[Tr.ArgOff + K]]);
     }
-    Path.emplace_back(St, Or);
-    SuccList Children;
-    if (State.HasInt)
-      Children.push_back(Out.addInt());
-    for (const auto &[Fn, Args] : State.Trans) {
-      SuccList ArgOrs;
-      ArgOrs.reserve(Args.size());
-      for (uint32_t A : Args)
-        ArgOrs.push_back(unfold(A, Out, Path));
-      Children.push_back(Out.addFunc(Fn, std::move(ArgOrs)));
+    return static_cast<uint32_t>(Seed ^ (Seed >> 32));
+  }
+
+  /// True if states \p I and \p J have equal signatures (see
+  /// signatureHash).
+  bool sameSignature(uint32_t I, uint32_t J, bool Initial) const {
+    const DetState &A = Scratch.States[I];
+    const DetState &B = Scratch.States[J];
+    if (Initial ? (A.IsAny != B.IsAny || A.HasInt != B.HasInt)
+                : Scratch.Block[I] != Scratch.Block[J])
+      return false;
+    if (A.NumTrans != B.NumTrans)
+      return false;
+    for (uint32_t T = 0; T != A.NumTrans; ++T) {
+      const DetTrans &TA = Scratch.TransPool[A.TransOff + T];
+      const DetTrans &TB = Scratch.TransPool[B.TransOff + T];
+      if (TA.Fn != TB.Fn)
+        return false;
+      if (!Initial)
+        for (uint32_t K = 0; K != TA.NumArgs; ++K)
+          if (Scratch.Block[Scratch.ArgPool[TA.ArgOff + K]] !=
+              Scratch.Block[Scratch.ArgPool[TB.ArgOff + K]])
+            return false;
     }
-    Path.pop_back();
-    Out.node(Or).Succs = std::move(Children);
-    return Or;
+    return true;
+  }
+
+  /// One partition round: numbers the distinct signatures in first-
+  /// occurrence order into Scratch.NextBlock (BlockRep[b] is the first
+  /// state of block b) and returns the block count.
+  uint32_t partitionRound(bool Initial) {
+    const uint32_t N = static_cast<uint32_t>(Scratch.States.size());
+    DenseIdTable &Blocks = Scratch.Blocks;
+    Blocks.reset(N);
+    Scratch.BlockRep.clear();
+    for (uint32_t I = 0; I != N; ++I) {
+      uint32_t Hash = signatureHash(I, Initial);
+      uint32_t B = Blocks.find(Hash, [&](uint32_t Cand) {
+        return sameSignature(I, Scratch.BlockRep[Cand], Initial);
+      });
+      if (B == DenseIdTable::NotFound) {
+        B = Blocks.insert(Hash);
+        Scratch.BlockRep.push_back(I);
+      }
+      Scratch.NextBlock[I] = B;
+    }
+    Scratch.Block.swap(Scratch.NextBlock);
+    return Blocks.size();
   }
 
   /// Merges language-equivalent states (Myhill-Nerode partition
   /// refinement on the deterministic automaton). Keeps the graphs the
   /// analysis manipulates canonical and small — the paper's central
-  /// engineering concern. Uses the scratch-owned hash tables: the
-  /// partition signature of a state is an integer sequence, so ordering
-  /// the blocks by a tree map (as the seed implementation did) bought
-  /// nothing but O(log n) vector comparisons per state per round.
+  /// engineering concern. Refinement only splits blocks, so a discrete
+  /// partition (the common case: most automata here are already
+  /// minimal) ends the run without touching the states; otherwise the
+  /// first state of each block is moved to the block's index and its
+  /// argument ids are rewritten in place.
   uint32_t minimize(uint32_t Root) {
-    auto &BlockIds = Scratch.Blocks;
-    auto &NextIds = Scratch.NextBlocks;
-    std::vector<uint64_t> &Sig = Scratch.SigBuf;
-    BlockIds.clear();
-    // Transparent probe-then-copy: the signature buffer is only
-    // materialized into the table for genuinely new blocks.
-    auto BlockFor = [&Sig](auto &Ids) {
-      auto It = Ids.find(U64View{Sig.data(), Sig.size()});
-      if (It != Ids.end())
-        return It->second;
-      return Ids.emplace(Sig, static_cast<uint32_t>(Ids.size()))
-          .first->second;
-    };
-    // Initial partition: by (IsAny, HasInt, functor list).
-    std::vector<uint32_t> Block(States.size(), 0);
-    for (size_t I = 0; I != States.size(); ++I) {
-      const DetState &S = States[I];
-      Sig.clear();
-      Sig.push_back(S.IsAny ? 1 : 0);
-      Sig.push_back(S.HasInt ? 1 : 0);
-      for (const auto &[Fn, Args] : S.Trans)
-        Sig.push_back(Fn);
-      Block[I] = BlockFor(BlockIds);
-    }
-    // Refine until stable.
-    std::vector<uint32_t> Next(States.size(), 0);
-    while (true) {
+    const uint32_t N = static_cast<uint32_t>(Scratch.States.size());
+    Scratch.Block.resize(N);
+    Scratch.NextBlock.resize(N);
+    uint32_t NumBlocks = partitionRound(/*Initial=*/true);
+    while (NumBlocks != N) {
       // One refinement round touches every state; on a large automaton
       // the rounds-until-stable tail is the other place a deadline can
       // silently burn.
       if (Opts.Cancel)
         Opts.Cancel->poll();
-      NextIds.clear();
-      for (size_t I = 0; I != States.size(); ++I) {
-        Sig.clear();
-        Sig.push_back(Block[I]);
-        for (const auto &[Fn, Args] : States[I].Trans) {
-          Sig.push_back(Fn);
-          for (uint32_t A : Args)
-            Sig.push_back(Block[A]);
-        }
-        Next[I] = BlockFor(NextIds);
-      }
-      bool Stable = NextIds.size() == BlockIds.size();
-      Block.swap(Next);
-      std::swap(BlockIds, NextIds);
-      if (Stable)
+      uint32_t Next = partitionRound(/*Initial=*/false);
+      if (Next == NumBlocks)
         break;
+      NumBlocks = Next;
     }
-    // Rebuild one representative state per block.
-    std::vector<DetState> Merged(BlockIds.size());
-    std::vector<bool> Done(BlockIds.size(), false);
-    for (size_t I = 0; I != States.size(); ++I) {
-      uint32_t B = Block[I];
-      if (Done[B])
-        continue;
-      Done[B] = true;
-      DetState S = States[I];
-      for (auto &[Fn, Args] : S.Trans)
-        for (uint32_t &A : Args)
-          A = Block[A];
-      Merged[B] = std::move(S);
+    if (NumBlocks == N)
+      return Root;
+    // Block ids are first-occurrence ordered, so BlockRep[B] >= B and
+    // moving representatives up in increasing B never overwrites one
+    // that is still to be moved.
+    for (uint32_t B = 0; B != NumBlocks; ++B) {
+      DetState S = Scratch.States[Scratch.BlockRep[B]];
+      for (uint32_t T = 0; T != S.NumTrans; ++T) {
+        const DetTrans &Tr = Scratch.TransPool[S.TransOff + T];
+        for (uint32_t K = 0; K != Tr.NumArgs; ++K) {
+          uint32_t &A = Scratch.ArgPool[Tr.ArgOff + K];
+          A = Scratch.Block[A];
+        }
+      }
+      Scratch.States[B] = S;
     }
-    uint32_t NewRoot = Block[Root];
-    States = std::move(Merged);
-    return NewRoot;
+    Scratch.States.resize(NumBlocks);
+    return Scratch.Block[Root];
+  }
+
+  uint32_t addTreeNode(NodeKind Kind, FunctorId Fn, uint32_t NumSuccs) {
+    uint32_t Id = static_cast<uint32_t>(Scratch.Tree.size());
+    uint32_t Off = static_cast<uint32_t>(Scratch.TreeSuccs.size());
+    Scratch.Tree.push_back({Kind, Fn, Off, NumSuccs});
+    Scratch.TreeSuccs.resize(Off + NumSuccs);
+    return Id;
+  }
+
+  /// Unfolds state \p St depth-first into Scratch.Tree and returns its
+  /// or-vertex: a tree whose only non-tree edges point back to
+  /// or-vertices on the current root path. Created counts vertices in
+  /// the order the unfolding historically allocated them (an or-vertex
+  /// before its alternatives, a functor vertex after its arguments),
+  /// which is what the MaxNodes bound is measured in.
+  uint32_t unfold(uint32_t St) {
+    if (Scratch.OnPath[St] != InvalidNode)
+      return Scratch.OnPath[St]; // back edge to an ancestor or-vertex
+    const DetState State = Scratch.States[St];
+    ++Created;
+    if (State.IsAny || Created > Opts.MaxNodes ||
+        (Opts.MaxDepth != 0 && Depth >= Opts.MaxDepth)) {
+      // A defensive-bound collapse (node or depth budget) loses the
+      // certificate: re-normalizing the truncated result may merge the
+      // states the truncation made equivalent.
+      if (!State.IsAny)
+        Truncated = true;
+      uint32_t Or = addTreeNode(NodeKind::Or, InvalidFunctor, 1);
+      ++Created;
+      Scratch.TreeSuccs[Scratch.Tree[Or].SuccOff] =
+          addTreeNode(NodeKind::Any, InvalidFunctor, 0);
+      return Or;
+    }
+    uint32_t Or = addTreeNode(NodeKind::Or, InvalidFunctor,
+                              State.NumTrans + (State.HasInt ? 1 : 0));
+    const uint32_t OrSuccs = Scratch.Tree[Or].SuccOff;
+    Scratch.OnPath[St] = Or;
+    ++Depth;
+    // Transitions are in functor-rank order; Int sits at the rank of
+    // the reserved '$int' functor among them (ahead of an equal rank).
+    uint32_t IntPos = State.NumTrans;
+    if (State.HasInt) {
+      uint32_t IntRank = Syms.functorRank(Syms.intFunctor());
+      IntPos = 0;
+      while (IntPos != State.NumTrans &&
+             Syms.functorRank(
+                 Scratch.TransPool[State.TransOff + IntPos].Fn) < IntRank)
+        ++IntPos;
+      ++Created;
+      Scratch.TreeSuccs[OrSuccs + IntPos] =
+          addTreeNode(NodeKind::Int, InvalidFunctor, 0);
+    }
+    for (uint32_t T = 0; T != State.NumTrans; ++T) {
+      const DetTrans Tr = Scratch.TransPool[State.TransOff + T];
+      uint32_t Fn = addTreeNode(NodeKind::Func, Tr.Fn, Tr.NumArgs);
+      const uint32_t FnSuccs = Scratch.Tree[Fn].SuccOff;
+      for (uint32_t K = 0; K != Tr.NumArgs; ++K) {
+        uint32_t Arg = unfold(Scratch.ArgPool[Tr.ArgOff + K]);
+        Scratch.TreeSuccs[FnSuccs + K] = Arg;
+      }
+      ++Created;
+      Scratch.TreeSuccs[OrSuccs + T + (T >= IntPos ? 1 : 0)] = Fn;
+    }
+    --Depth;
+    Scratch.OnPath[St] = InvalidNode;
+    return Or;
+  }
+
+  /// Emits the unfolded tree rooted at \p TreeRoot as a graph numbered in
+  /// breadth-first order — the canonical numbering compact() produces —
+  /// reserved to its exact size. Back edges target ancestors, which the
+  /// BFS has always numbered already.
+  TypeGraph emit(uint32_t TreeRoot) {
+    std::vector<uint32_t> &Queue = Scratch.Queue;
+    std::vector<uint32_t> &OutId = Scratch.OutId;
+    const uint32_t Size = static_cast<uint32_t>(Scratch.Tree.size());
+    OutId.assign(Size, InvalidNode);
+    Queue.clear();
+    Queue.push_back(TreeRoot);
+    OutId[TreeRoot] = 0;
+    TypeGraph Out;
+    Out.reserveNodes(Size);
+    for (size_t Head = 0; Head != Queue.size(); ++Head) {
+      const TreeNode N = Scratch.Tree[Queue[Head]];
+      SuccList Succs;
+      Succs.reserve(N.NumSuccs);
+      for (uint32_t K = 0; K != N.NumSuccs; ++K) {
+        uint32_t C = Scratch.TreeSuccs[N.SuccOff + K];
+        if (OutId[C] == InvalidNode) {
+          OutId[C] = static_cast<uint32_t>(Queue.size());
+          Queue.push_back(C);
+        }
+        Succs.push_back(OutId[C]);
+      }
+      switch (N.Kind) {
+      case NodeKind::Any:
+        Out.addAny();
+        break;
+      case NodeKind::Int:
+        Out.addInt();
+        break;
+      case NodeKind::Func:
+        Out.addFunc(N.Fn, std::move(Succs));
+        break;
+      case NodeKind::Or:
+        Out.addOr(std::move(Succs));
+        break;
+      }
+    }
+    assert(Out.numNodes() == Size && "the unfolded tree is connected");
+    Out.setRoot(0);
+    return Out;
   }
 
   TypeGraph finish(uint32_t Root) {
     computeProductivity();
-    if (!States[Root].Productive)
+    if (!Scratch.States[Root].Productive)
       return TypeGraph::makeBottom();
     Root = minimize(Root);
-    TypeGraph Out;
-    std::vector<std::pair<uint32_t, NodeId>> Path;
-    NodeId OutRoot = unfold(Root, Out, Path);
-    Out.setRoot(OutRoot);
-    Out.sortOrSuccessors(Syms);
-    TypeGraph Result = Out.compact();
+    Scratch.Tree.clear();
+    Scratch.TreeSuccs.clear();
+    Scratch.OnPath.assign(Scratch.States.size(), InvalidNode);
+    TypeGraph Result = emit(unfold(Root));
 #ifndef NDEBUG
     std::string Why;
     assert(Result.validate(Syms, &Why) && "normalization must restore all "
@@ -390,9 +509,11 @@ protected:
   const SymbolTable &Syms;
   const NormalizeOptions &Opts;
   NormalizeScratch &Scratch;
-  std::vector<DetState> States;
-  std::deque<std::vector<NodeId>> StateKeys;
   bool Truncated = false;
+  /// Unfolding counters: vertices created so far, or-vertices on the
+  /// current root path.
+  uint32_t Created = 0;
+  uint32_t Depth = 0;
 };
 
 /// Exact subset construction (worklist based): language-preserving.
@@ -400,36 +521,43 @@ class Determinizer : public DetBuilderBase {
 public:
   using DetBuilderBase::DetBuilderBase;
 
-  TypeGraph run(const std::vector<NodeId> &Start) {
-    uint32_t Root = stateFor(Start.data(), Start.size());
+  TypeGraph run(const NodeId *Start, size_t NumStart) {
+    uint32_t Root = stateFor(Start, NumStart);
     drainWorklist();
     return finish(Root);
   }
 
-  GrammarAutomaton automaton(const std::vector<NodeId> &Start) {
-    uint32_t Root = stateFor(Start.data(), Start.size());
+  GrammarAutomaton automaton(NodeId Start) {
+    uint32_t Root = stateFor(&Start, 1);
     drainWorklist();
     computeProductivity();
     GrammarAutomaton A;
-    if (!States[Root].Productive) {
+    if (!Scratch.States[Root].Productive) {
       A.Empty = true;
       return A;
     }
     Root = minimize(Root);
-    // Keep only states reachable from the root.
-    std::vector<uint32_t> Remap(States.size(), ~0u);
-    std::vector<uint32_t> Work{Root};
+    // Keep only states reachable from the root, numbered in discovery
+    // order of a LIFO walk.
+    std::vector<uint32_t> &Remap = Scratch.OutId;
+    std::vector<uint32_t> &Work = Scratch.Queue;
+    Remap.assign(Scratch.States.size(), ~0u);
+    Work.assign(1, Root);
     Remap[Root] = 0;
     A.States.emplace_back();
     while (!Work.empty()) {
       uint32_t S = Work.back();
       Work.pop_back();
-      GrammarAutomaton::State St;
-      St.IsAny = States[S].IsAny;
-      St.HasInt = States[S].HasInt;
-      for (const auto &[Fn, Args] : States[S].Trans) {
-        std::vector<uint32_t> NewArgs;
-        for (uint32_t Arg : Args) {
+      const DetState St = Scratch.States[S];
+      GrammarAutomaton::State Out;
+      Out.IsAny = St.IsAny;
+      Out.HasInt = St.HasInt;
+      for (uint32_t T = 0; T != St.NumTrans; ++T) {
+        const DetTrans Tr = Scratch.TransPool[St.TransOff + T];
+        auto &[Fn, NewArgs] = Out.Trans.emplace_back();
+        Fn = Tr.Fn;
+        for (uint32_t K = 0; K != Tr.NumArgs; ++K) {
+          uint32_t Arg = Scratch.ArgPool[Tr.ArgOff + K];
           if (Remap[Arg] == ~0u) {
             Remap[Arg] = static_cast<uint32_t>(A.States.size());
             A.States.emplace_back();
@@ -437,9 +565,8 @@ public:
           }
           NewArgs.push_back(Remap[Arg]);
         }
-        St.Trans.emplace_back(Fn, std::move(NewArgs));
       }
-      A.States[Remap[S]] = std::move(St);
+      A.States[Remap[S]] = std::move(Out);
     }
     A.Root = 0;
     return A;
@@ -449,7 +576,7 @@ private:
   void drainWorklist() {
     // Worklist ids are assigned densely, so the list is just "next state
     // to process": every state >= Cursor still needs its transitions.
-    while (Cursor != States.size()) {
+    while (Cursor != Scratch.States.size()) {
       uint32_t Id = Cursor++;
       // The subset construction is the one normalization phase with no
       // a-priori size bound (state count can be exponential in the input
@@ -465,18 +592,11 @@ private:
 
   uint32_t stateFor(const NodeId *Roots, size_t NumRoots) {
     closureKey(G, Roots, NumRoots, Scratch);
-    const std::vector<NodeId> &Key = Scratch.KeyBuf;
-    auto It = StateIds.find(KeyView{Key.data(), Key.size()});
-    if (It != StateIds.end())
-      return It->second;
-    uint32_t Id = static_cast<uint32_t>(States.size());
-    States.emplace_back();
-    StateKeys.push_back(Key);
-    StateIds.emplace(Key, Id);
-    return Id;
+    uint32_t Hash = hashKey(Scratch.KeyBuf.data(), Scratch.KeyBuf.size());
+    uint32_t Id = findState(Hash);
+    return Id != DenseIdTable::NotFound ? Id : addState(Hash);
   }
 
-  std::unordered_map<std::vector<NodeId>, uint32_t, KeyHash, KeyEq> StateIds;
   uint32_t Cursor = 0;
 };
 
@@ -493,46 +613,42 @@ public:
 
   TypeGraph run(const std::vector<NodeId> &Start) {
     closureKey(G, Start.data(), Start.size(), Scratch);
-    uint32_t Root = stateFor(Scratch.KeyBuf);
-    return finish(Root);
+    return finish(stateFor());
   }
 
 private:
-  uint32_t stateFor(const std::vector<NodeId> &KeyIn) {
-    auto It = StateIds.find(KeyIn);
-    if (It != StateIds.end())
-      return It->second;
+  /// The state for the key in Scratch.KeyBuf.
+  uint32_t stateFor() {
+    const std::vector<NodeId> &Key = Scratch.KeyBuf;
+    uint32_t Hash = hashKey(Key.data(), Key.size());
+    uint32_t Found = findState(Hash);
+    if (Found != DenseIdTable::NotFound)
+      return Found;
     // Collapse into an ancestor whose constituents cover this state.
-    for (auto PIt = PathKeys.rbegin(), PEnd = PathKeys.rend(); PIt != PEnd;
-         ++PIt) {
-      const std::vector<NodeId> &AncKey = StateKeys[*PIt];
-      if (AncKey.size() == 1 && AncKey[0] == AnyMarker)
+    for (auto PIt = Scratch.PathStates.rbegin(),
+              PEnd = Scratch.PathStates.rend();
+         PIt != PEnd; ++PIt) {
+      const DetState &Anc = Scratch.States[*PIt];
+      const NodeId *AncKey = Scratch.KeyPool.data() + Anc.KeyOff;
+      if (Anc.KeyLen == 1 && AncKey[0] == AnyMarker)
         return *PIt; // Any covers everything
-      if (std::includes(AncKey.begin(), AncKey.end(), KeyIn.begin(),
-                        KeyIn.end()))
+      if (std::includes(AncKey, AncKey + Anc.KeyLen, Key.begin(), Key.end()))
         return *PIt;
     }
-    std::vector<NodeId> Key = KeyIn; // own it; the recursion below
-                                     // clobbers the scratch buffer
-    uint32_t Id = static_cast<uint32_t>(States.size());
+    // The key moves into the pool: the recursion below clobbers KeyBuf.
+    uint32_t Id = addState(Hash);
     // Same rationale as Determinizer::drainWorklist: state creation is
     // the unbounded dimension of the collapsing construction.
     if (Opts.Cancel && (Id & 63u) == 0)
       Opts.Cancel->poll();
-    States.emplace_back();
-    StateKeys.push_back(Key);
-    StateIds.emplace(std::move(Key), Id);
-    PathKeys.push_back(Id);
+    Scratch.PathStates.push_back(Id);
     computeTransitions(Id, [this](const NodeId *Roots, size_t N) {
       closureKey(G, Roots, N, Scratch);
-      return stateFor(Scratch.KeyBuf);
+      return stateFor();
     });
-    PathKeys.pop_back();
+    Scratch.PathStates.pop_back();
     return Id;
   }
-
-  std::unordered_map<std::vector<NodeId>, uint32_t, KeyHash, KeyEq> StateIds;
-  std::vector<uint32_t> PathKeys;
 };
 
 } // namespace
@@ -550,7 +666,8 @@ TypeGraph gaia::normalizeGraph(const TypeGraph &G, const SymbolTable &Syms,
   // Chaos probe after the certificate fast path: only normalizations
   // that actually run the determinizer can fault.
   GAIA_FAULT_POINT(Normalize);
-  return Determinizer(G, Syms, Opts, scratchOr(Scratch)).run({G.root()});
+  NodeId Root = G.root();
+  return Determinizer(G, Syms, Opts, scratchOr(Scratch)).run(&Root, 1);
 }
 
 TypeGraph gaia::normalizeFrom(const TypeGraph &G,
@@ -560,7 +677,8 @@ TypeGraph gaia::normalizeFrom(const TypeGraph &G,
                               NormalizeScratch *Scratch) {
   if (Start.empty())
     return TypeGraph::makeBottom();
-  return Determinizer(G, Syms, Opts, scratchOr(Scratch)).run(Start);
+  return Determinizer(G, Syms, Opts, scratchOr(Scratch))
+      .run(Start.data(), Start.size());
 }
 
 TypeGraph gaia::collapsingUnionFrom(const TypeGraph &G,
@@ -582,6 +700,5 @@ GrammarAutomaton gaia::buildAutomaton(const TypeGraph &G,
     return A;
   }
   NormalizeOptions Opts;
-  return Determinizer(G, Syms, Opts, scratchOr(Scratch))
-      .automaton({G.root()});
+  return Determinizer(G, Syms, Opts, scratchOr(Scratch)).automaton(G.root());
 }

@@ -8,7 +8,10 @@
 ///      same-functor alternatives, enforcing the Principal-Functor
 ///      restriction, Isolated-Any, and Int absorption of integer
 ///      literals. Unproductive (empty-denotation) states are pruned.
-///   2. *Unfold*: the deterministic automaton is unfolded into a tree
+///   2. *Minimize*: Myhill-Nerode partition refinement merges
+///      language-equivalent states, so the unfold below is a function of
+///      the language alone.
+///   3. *Unfold*: the minimal automaton is unfolded into a tree
 ///      whose only non-tree edges point back to or-vertices on the
 ///      current root path — exactly Flip-Flop + Or-Cycle + No-Sharing.
 ///
@@ -16,22 +19,28 @@
 /// to replace an or-vertex with too many successors by an any-vertex")
 /// is applied during determinization.
 ///
-/// The pipeline is engineered to be allocation-light: the entry points
-/// accept a caller-owned NormalizeScratch whose buffers (epoch-marked
-/// visited sets, closure stacks, the partition-refinement tables of the
-/// minimizer) are reused across calls instead of reallocated, and
-/// results carry a normalization certificate (TypeGraph::markNormalized)
-/// so re-normalizing an already-canonical graph is a copy.
+/// The automata are small (a dozen states on the Section 9 programs), so
+/// the cost is set-up, not asymptotics, and the pipeline runs on flat
+/// storage in a caller-owned NormalizeScratch that is reused across
+/// calls: fixed-size state records indexing one key, one transition and
+/// one argument pool; open-addressing id tables cleared by epoch for the
+/// state keys and the partition signatures; and a scratch tree that the
+/// depth-first unfold fills and a breadth-first pass emits once, already
+/// in compact()'s numbering and sortOrSuccessors' order, into an output
+/// graph reserved to its exact size. A warm run allocates only that
+/// output graph. Results carry a normalization certificate
+/// (TypeGraph::markNormalized), so re-normalizing an already-canonical
+/// graph is a copy.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GAIA_TYPEGRAPH_NORMALIZE_H
 #define GAIA_TYPEGRAPH_NORMALIZE_H
 
-#include "support/Hashing.h"
 #include "typegraph/TypeGraph.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <vector>
 
 namespace gaia {
 
@@ -64,14 +73,98 @@ struct NormalizeOptions {
   const CancelSignal *Cancel = nullptr;
 };
 
+/// Open-addressing table of dense uint32 ids (0, 1, 2, ... in insertion
+/// order) keyed by a caller-defined equality over a caller-computed
+/// hash. The key data itself lives in the caller's pools; the table only
+/// stores ids and their hashes. `reset` opens a new epoch instead of
+/// clearing slots, and sizes the probe window to the expected id count,
+/// so a small run touches a few cache lines of a table that may have
+/// grown on an earlier large one.
+class DenseIdTable {
+public:
+  static constexpr uint32_t NotFound = ~0u;
+
+  /// Empties the table for about \p Expected ids.
+  void reset(uint32_t Expected) {
+    Count = 0;
+    uint32_t Cap = 16;
+    while (Cap < 2 * Expected)
+      Cap *= 2;
+    openEpoch(Cap);
+  }
+
+  uint32_t size() const { return Count; }
+
+  /// The id whose key \p Eq accepts among those stored under \p Hash,
+  /// or NotFound.
+  template <typename EqFn> uint32_t find(uint32_t Hash, EqFn Eq) const {
+    for (uint32_t I = Hash & Mask;; I = (I + 1) & Mask) {
+      uint64_t S = Slots[I];
+      if (static_cast<uint32_t>(S >> 32) != Epoch)
+        return NotFound;
+      uint32_t Id = static_cast<uint32_t>(S);
+      if (Hashes[Id] == Hash && Eq(Id))
+        return Id;
+    }
+  }
+
+  /// Stores the next id (== size()) under \p Hash and returns it. The
+  /// caller has checked with find() that its key is absent.
+  uint32_t insert(uint32_t Hash) {
+    uint32_t Id = Count++;
+    if (Hashes.size() < Count)
+      Hashes.resize(std::max<size_t>(Count, 2 * Hashes.size()));
+    Hashes[Id] = Hash;
+    if (2 * Count > Mask + 1) {
+      openEpoch(2 * (Mask + 1));
+      for (uint32_t J = 0; J != Count; ++J)
+        place(J);
+    } else {
+      place(Id);
+    }
+    return Id;
+  }
+
+private:
+  void openEpoch(uint32_t Cap) {
+    if (Slots.size() < Cap)
+      Slots.resize(Cap, 0);
+    Mask = Cap - 1;
+    if (++Epoch == 0) { // wrapped: stale tags could alias, wipe them
+      std::fill(Slots.begin(), Slots.end(), 0);
+      Epoch = 1;
+    }
+  }
+  void place(uint32_t Id) {
+    uint32_t I = Hashes[Id] & Mask;
+    while (static_cast<uint32_t>(Slots[I] >> 32) == Epoch)
+      I = (I + 1) & Mask;
+    Slots[I] = (static_cast<uint64_t>(Epoch) << 32) | Id;
+  }
+
+  /// Slot = (epoch << 32) | id; a slot of an older epoch is empty.
+  std::vector<uint64_t> Slots;
+  std::vector<uint32_t> Hashes; ///< id -> hash
+  uint32_t Epoch = 0;
+  uint32_t Mask = 0;
+  uint32_t Count = 0;
+};
+
 /// Reusable buffers for the normalization pipeline and the graph
 /// operations built on it. One instance per analysis (owned by the
 /// operation cache / leaf context); passing nullptr to the entry points
 /// falls back to a thread-local instance, so ad-hoc callers (tests,
 /// examples) stay allocation-correct without owning one. Not re-entrant
-/// across threads; the epoch discipline makes it re-entrant across
-/// sequential uses within one normalization (each traversal opens a
-/// fresh epoch).
+/// across threads, and one normalization uses it at a time: the
+/// determinizer's automaton, the minimizer's partition and the unfolded
+/// tree of the running normalization all live here. Within one
+/// normalization the epoch discipline makes the visited marks reusable
+/// across sequential traversals (each opens a fresh epoch).
+///
+/// Every buffer keeps its capacity across runs, so once warm a
+/// normalization of a small automaton allocates nothing but its output
+/// graph. All cross-references are indices, never pointers: the
+/// collapsing construction appends to the pools while it recurses.
 class NormalizeScratch {
 public:
   /// Opens a new visited-epoch over \p NumNodes node ids and returns the
@@ -84,22 +177,68 @@ public:
   bool marked(NodeId V) const { return SeenMark[V] == Epoch; }
   void mark(NodeId V) { SeenMark[V] = Epoch; }
 
-  /// DFS stack shared by the non-reentrant leaf traversals (or-closure
-  /// expansion, constituent scans, subgraph copies).
+  /// DFS stack of the or-closure expansion (closureKey).
   std::vector<NodeId> Stack;
-  /// Closure-key assembly buffer (closureKey output before dedup-copy).
+  /// Closure-key assembly buffer (closureKey output, valid until the
+  /// next closureKey call).
   std::vector<NodeId> KeyBuf;
-  /// Minimizer: signature buffer and the two partition tables, reused so
-  /// the bucket arrays survive across calls. Transparent (U64View)
-  /// lookups: a state whose signature block already exists costs a probe,
-  /// not a vector materialization.
-  std::unordered_map<std::vector<uint64_t>, uint32_t, U64VectorHash,
-                     U64VectorEq>
-      Blocks;
-  std::unordered_map<std::vector<uint64_t>, uint32_t, U64VectorHash,
-                     U64VectorEq>
-      NextBlocks;
-  std::vector<uint64_t> SigBuf;
+
+  /// One functor transition of a deterministic state: its argument
+  /// states are ArgPool[ArgOff, ArgOff + NumArgs).
+  struct DetTrans {
+    FunctorId Fn;
+    uint32_t ArgOff;
+    uint32_t NumArgs;
+  };
+  /// A deterministic-automaton state of the subset construction, a
+  /// fixed-size record: its key (sorted constituent set) is
+  /// KeyPool[KeyOff, KeyOff + KeyLen), its transitions, sorted by
+  /// functor rank, are TransPool[TransOff, TransOff + NumTrans).
+  struct DetState {
+    uint32_t KeyOff = 0;
+    uint32_t KeyLen = 0;
+    uint32_t TransOff = 0;
+    uint32_t NumTrans = 0;
+    bool IsAny = false;
+    bool HasInt = false;
+    bool Productive = false;
+  };
+  std::vector<DetState> States;
+  std::vector<NodeId> KeyPool;
+  std::vector<DetTrans> TransPool;
+  std::vector<uint32_t> ArgPool;
+  /// State key -> state id.
+  DenseIdTable StateIds;
+  /// Collapsing construction: the states on the current DFS path.
+  std::vector<uint32_t> PathStates;
+
+  /// Minimizer: state -> block of the current and of the next
+  /// refinement round, block -> its first state (the representative
+  /// new signatures are compared against), and the signature table.
+  std::vector<uint32_t> Block;
+  std::vector<uint32_t> NextBlock;
+  std::vector<uint32_t> BlockRep;
+  DenseIdTable Blocks;
+
+  /// Unfolding: the tree is built depth-first here, then emitted once in
+  /// breadth-first order. A tree node's successors are
+  /// TreeSuccs[SuccOff, SuccOff + NumSuccs), already in or-successor
+  /// order (Any first, then functor rank, Int at the rank of '$int').
+  struct TreeNode {
+    NodeKind Kind;
+    FunctorId Fn;
+    uint32_t SuccOff;
+    uint32_t NumSuccs;
+  };
+  std::vector<TreeNode> Tree;
+  std::vector<uint32_t> TreeSuccs;
+  /// State -> its or-vertex on the current root path (back-edge target),
+  /// or InvalidNode.
+  std::vector<uint32_t> OnPath;
+  /// Breadth-first emission queue and tree node -> output id; also the
+  /// reachable-state walk of buildAutomaton.
+  std::vector<uint32_t> Queue;
+  std::vector<uint32_t> OutId;
 
 private:
   std::vector<uint64_t> SeenMark;

@@ -83,20 +83,25 @@ TypeGraph TypeGraph::makeFunctorOfAny(const SymbolTable &Syms, FunctorId Fn) {
   return G;
 }
 
-TypeGraph TypeGraph::makeAnyList(SymbolTable &Syms) {
+TypeGraph TypeGraph::makeAnyList(SymbolTable &Syms,
+                                 const NormalizeOptions *CertifyFor) {
+  // Breadth-first ids: the root, its two alternatives in functor-rank
+  // order, the cons head's or-vertex and its any-leaf. The cons tail is
+  // the back edge to the root.
+  FunctorId Nil = Syms.nilFunctor(), Cons = Syms.consFunctor();
+  bool ConsFirst = Syms.functorRank(Cons) < Syms.functorRank(Nil);
   TypeGraph G;
-  NodeId Nil = G.addFunc(Syms.nilFunctor(), {});
-  NodeId HeadLeaf = G.addAny();
-  NodeId Head = G.addOr({HeadLeaf});
-  // Tail or-vertex is the root itself; create the root first as an empty
-  // or-vertex and patch its successors afterwards.
-  NodeId Root = G.addOr({});
-  NodeId Cons = G.addFunc(Syms.consFunctor(), {Head, Root});
-  G.node(Root).Succs = {Nil, Cons};
-  G.setRoot(Root);
-  G.sortOrSuccessors(Syms);
-  // The root has or-degree 2, so this shape only survives caps >= 2 (or
-  // uncapped); it is not certified option-independent.
+  G.reserveNodes(5);
+  G.addOr({1, 2});
+  for (FunctorId Fn : {ConsFirst ? Cons : Nil, ConsFirst ? Nil : Cons})
+    G.addFunc(Fn, Fn == Cons ? SuccList{3, 0} : SuccList{});
+  G.addOr({4});
+  G.addAny();
+  G.setRoot(0);
+  if (CertifyFor && CertifyFor->OrCap != 1 &&
+      CertifyFor->MaxNodes >= G.numNodes())
+    G.markNormalized(CertifyFor->OrCap, CertifyFor->MaxNodes,
+                     CertifyFor->MaxDepth);
   return G;
 }
 

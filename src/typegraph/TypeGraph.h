@@ -63,7 +63,8 @@
 
 namespace gaia {
 
-class PfSetInterner; // support/PfSetInterner.h
+class PfSetInterner;      // support/PfSetInterner.h
+struct NormalizeOptions; // typegraph/Normalize.h
 
 /// Dense id of a vertex inside one TypeGraph.
 using NodeId = uint32_t;
@@ -150,8 +151,14 @@ public:
   /// Or-root over f(Any,...,Any).
   static TypeGraph makeFunctorOfAny(const SymbolTable &Syms, FunctorId Fn);
   /// The canonical list graph  T ::= [] | cons(Any, T), used by input
-  /// pattern specs and tag checks.
-  static TypeGraph makeAnyList(SymbolTable &Syms);
+  /// pattern specs and tag checks, built directly in normalization's
+  /// output form (breadth-first numbering, sorted alternatives). With
+  /// \p CertifyFor it carries the certificate for those options when
+  /// normalization under them reproduces it: an or-cap of 0 or at least
+  /// 2 (the root has or-degree 2) and a node budget the five vertices
+  /// fit in.
+  static TypeGraph makeAnyList(SymbolTable &Syms,
+                               const NormalizeOptions *CertifyFor = nullptr);
 
   /// Breadth-first topology of the reachable part: depth (root = 1, as in
   /// the paper where depth is the length of the shortest path), BFS tree

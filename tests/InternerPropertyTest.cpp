@@ -256,9 +256,26 @@ TEST_P(InternerPropertyTest, CertifiedOpResultsAreCanonicalUnfolds) {
   ExpectCanonical(TypeGraph::makeBottom());
   for (FunctorId Fn : Fns)
     ExpectCanonical(TypeGraph::makeFunctorOfAny(Syms, Fn));
-  // makeAnyList is deliberately uncertified, so interning it takes the
-  // keyed route.
+  // makeAnyList is certified exactly for the options its shape survives
+  // (or-cap 0 or >= 2, a node budget its five vertices fit in); without
+  // options, or under or-cap 1, interning it takes the keyed route.
   EXPECT_FALSE(TypeGraph::makeAnyList(Syms).hasNormCertificate());
+  for (uint32_t Cap : {0u, 2u, 5u}) {
+    NormalizeOptions Opts;
+    Opts.OrCap = Cap;
+    TypeGraph List = TypeGraph::makeAnyList(Syms, &Opts);
+    EXPECT_TRUE(List.isNormalizedFor(Cap, Opts.MaxNodes, Opts.MaxDepth));
+    ExpectCanonical(List);
+    EXPECT_TRUE(
+        structuralEqual(normalizeGraph(uncertified(List), Syms, Opts), List));
+  }
+  NormalizeOptions CapOne;
+  CapOne.OrCap = 1;
+  EXPECT_FALSE(TypeGraph::makeAnyList(Syms, &CapOne).hasNormCertificate());
+  NormalizeOptions TinyBudget;
+  TinyBudget.MaxNodes = 2;
+  EXPECT_FALSE(
+      TypeGraph::makeAnyList(Syms, &TinyBudget).hasNormCertificate());
 }
 
 TEST_P(InternerPropertyTest, CertifiedKeysAgreeWithStructure) {

@@ -21,7 +21,10 @@
 ///      inherent over-approximation —, so the reverse direction is
 ///      asserted only for unambiguous inputs,
 ///   4. the cached restrict/construct primitives agree with their
-///      uncached implementations.
+///      uncached implementations,
+///   5. under small MaxNodes/MaxDepth bounds the output equals an
+///      independent depth-first unfold of the minimal automaton, and
+///      carries a certificate exactly when no bound fired.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -273,6 +276,111 @@ TEST(NormalizePropertyTest, IdempotentAndCertificateHonest) {
     EXPECT_TRUE(structuralEqual(N1, N3))
         << "full pipeline disagrees with certified fast path";
   }
+  // The certified list constructor is held to the same bar under every
+  // option set it certifies.
+  for (uint32_t Cap : {0u, 2u, 5u}) {
+    NormalizeOptions Opts;
+    Opts.OrCap = Cap;
+    TypeGraph List = TypeGraph::makeAnyList(Sig.Syms, &Opts);
+    ASSERT_TRUE(List.isNormalizedFor(Cap, Opts.MaxNodes, Opts.MaxDepth));
+    TypeGraph Stripped = List.compact();
+    ASSERT_FALSE(Stripped.hasNormCertificate());
+    EXPECT_TRUE(
+        structuralEqual(normalizeGraph(Stripped, Sig.Syms, Opts), List))
+        << "makeAnyList certified for or-cap " << Cap << " but not canonical";
+  }
+}
+
+/// Test-local reference for bounded unfolding: a depth-first unfold of
+/// the minimal automaton under the MaxNodes/MaxDepth rules (a vertex
+/// budget counted in allocation order, an or-depth bound), sorted and
+/// compacted by the TypeGraph primitives. Sets \p Truncated when a
+/// bound replaced a non-Any state by Any.
+class ReferenceUnfold {
+public:
+  ReferenceUnfold(const GrammarAutomaton &A, const NormalizeOptions &Opts)
+      : A(A), Opts(Opts) {}
+
+  TypeGraph run(const SymbolTable &Syms) {
+    if (A.Empty)
+      return TypeGraph::makeBottom();
+    TypeGraph Out;
+    Out.setRoot(unfold(A.Root, Out));
+    Out.sortOrSuccessors(Syms);
+    return Out.compact();
+  }
+
+  bool Truncated = false;
+
+private:
+  NodeId unfold(uint32_t St, TypeGraph &Out) {
+    for (const auto &[S, N] : Path)
+      if (S == St)
+        return N;
+    const GrammarAutomaton::State &State = A.States[St];
+    NodeId Or = Out.addOr({});
+    if (State.IsAny || Out.numNodes() > Opts.MaxNodes ||
+        (Opts.MaxDepth != 0 && Path.size() >= Opts.MaxDepth)) {
+      Truncated |= !State.IsAny;
+      NodeId Leaf = Out.addAny();
+      Out.node(Or).Succs = {Leaf};
+      return Or;
+    }
+    Path.emplace_back(St, Or);
+    SuccList Children;
+    if (State.HasInt)
+      Children.push_back(Out.addInt());
+    for (const auto &[Fn, Args] : State.Trans) {
+      SuccList ArgOrs;
+      for (uint32_t Arg : Args)
+        ArgOrs.push_back(unfold(Arg, Out));
+      Children.push_back(Out.addFunc(Fn, std::move(ArgOrs)));
+    }
+    Path.pop_back();
+    Out.node(Or).Succs = std::move(Children);
+    return Or;
+  }
+
+  const GrammarAutomaton &A;
+  const NormalizeOptions &Opts;
+  std::vector<std::pair<uint32_t, NodeId>> Path;
+};
+
+TEST(NormalizePropertyTest, TruncatedUnfoldMatchesReference) {
+  Signature Sig;
+  GraphGen Gen(Sig, 9001);
+  uint32_t TruncatedRuns = 0, ExactRuns = 0;
+  for (uint32_t I = 0; I != NumGraphs; ++I) {
+    TypeGraph Raw = Gen.randomRaw();
+    GrammarAutomaton A = buildAutomaton(Raw, Sig.Syms);
+    for (uint32_t MaxNodes : {1u, 2u, 4u, 7u, 12u, 100000u})
+      for (uint32_t MaxDepth : {0u, 1u, 2u, 3u}) {
+        NormalizeOptions Opts;
+        Opts.MaxNodes = MaxNodes;
+        Opts.MaxDepth = MaxDepth;
+        ReferenceUnfold Ref(A, Opts);
+        TypeGraph Want = Ref.run(Sig.Syms);
+        TypeGraph Got = normalizeGraph(Raw, Sig.Syms, Opts);
+        EXPECT_TRUE(structuralEqual(Got, Want))
+            << "graph " << I << ", MaxNodes " << MaxNodes << ", MaxDepth "
+            << MaxDepth;
+        std::string Why;
+        EXPECT_TRUE(Got.validate(Sig.Syms, &Why)) << Why;
+        // A bound that fired withholds the certificate; otherwise the
+        // result is certified for exactly these options.
+        EXPECT_EQ(Got.hasNormCertificate(), !Ref.Truncated);
+        if (!Ref.Truncated)
+          EXPECT_TRUE(Got.isNormalizedFor(0, MaxNodes, MaxDepth));
+        (Ref.Truncated ? TruncatedRuns : ExactRuns) += 1;
+        // The collapsing union goes through the same bounded emission.
+        std::vector<NodeId> Start{Raw.root(), Raw.numNodes() - 1};
+        TypeGraph C = collapsingUnionFrom(Raw, Start, Sig.Syms, Opts);
+        EXPECT_TRUE(C.validate(Sig.Syms, &Why)) << Why;
+      }
+  }
+  // Both sides of the bound must actually be exercised.
+  EXPECT_GT(TruncatedRuns, NumGraphs);
+  EXPECT_GT(ExactRuns, NumGraphs);
 }
 
 TEST(NormalizePropertyTest, LanguagePreservingAgainstMembershipOracle) {

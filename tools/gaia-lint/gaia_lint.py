@@ -27,6 +27,10 @@ over the real sources:
                            std::vector/std::unordered_map/std::map
                            declaration inside one reintroduces exactly
                            the per-call allocation the scratch removes.
+                           The same holds for member functions of a
+                           class that holds a *Scratch& data member (or
+                           derives from one in the same file): such a
+                           class is a per-run view over the scratch.
   banned-container         std::map/std::multimap anywhere in the hot
                            directories (src/typegraph/, src/gaia/):
                            node-based ordered maps are never the right
@@ -314,6 +318,7 @@ class ClassInfo:
     line: int
     members: list = field(default_factory=list)
     nested: list = field(default_factory=list)
+    bases: list = field(default_factory=list)
 
 
 def parse_class_bodies(toks, file):
@@ -367,6 +372,7 @@ def parse_class_bodies(toks, file):
         j += 1
         if j < hi and toks[j].kind == "id" and toks[j].text == "final":
             j += 1
+        bases = []
         if j < hi and toks[j].text == ":":  # base clause
             while j < hi and toks[j].text != "{":
                 if toks[j].text == "<":
@@ -374,11 +380,15 @@ def parse_class_bodies(toks, file):
                     continue
                 if toks[j].text == ";":
                     return None
+                if toks[j].kind == "id" and toks[j].text not in (
+                        "public", "protected", "private", "virtual"):
+                    bases.append(toks[j].text)
                 j += 1
         if j >= hi or toks[j].text != "{":
             return None
         body_end = match_brace(toks, j)
-        info = ClassInfo(name=name, file=file, line=toks[i].line)
+        info = ClassInfo(name=name, file=file, line=toks[i].line,
+                         bases=bases)
         parse_members(j + 1, body_end, info)
         out.append(info)
         return body_end + 1
@@ -735,6 +745,73 @@ def check_scratch_functions(file, toks, findings):
                 "buffer through the scratch struct instead"))
 
 
+def holds_scratch_ref(m: Member):
+    """True for a data member declared as `SomethingScratch &Name`."""
+    if is_function_member(m) or is_using_or_friend(m) or is_static(m):
+        return False
+    return params_have_scratch_ref(m.toks)
+
+
+def scratch_view_classes(classes):
+    """Names of the classes that hold a *Scratch& data member, plus
+    (transitively) the classes deriving from one of them."""
+    names = {c.name for c in classes if any(holds_scratch_ref(m)
+                                            for m in c.members)}
+    grew = True
+    while grew:
+        grew = False
+        for c in classes:
+            if c.name not in names and any(b in names for b in c.bases):
+                names.add(c.name)
+                grew = True
+    return names
+
+
+def check_scratch_members(file, toks, classes, findings):
+    """Member functions of scratch-view classes: in-class bodies and
+    out-of-class `Class::name(...) { ... }` definitions."""
+    views = scratch_view_classes(classes)
+    if not views:
+        return
+    bodies = []
+    for c in classes:
+        if c.name not in views:
+            continue
+        for m in c.members:
+            if m.body is not None and is_function_member(m):
+                bodies.append((c.name, function_name(m), m.body))
+    n = len(toks)
+    for i in range(n - 4):
+        if not (toks[i].text in views and toks[i + 1].text == ":"
+                and toks[i + 2].text == ":" and toks[i + 3].kind == "id"
+                and toks[i + 4].text == "("):
+            continue
+        j = match_paren(toks, i + 4) + 1
+        while j < n and toks[j].text not in "{;=":
+            if toks[j].text == "(":  # noexcept(...)
+                j = match_paren(toks, j)
+            j += 1
+        if j < n and toks[j].text == "{":
+            bodies.append((toks[i].text, toks[i + 3].text,
+                           (j + 1, match_brace(toks, j))))
+    # A member function that also takes a *Scratch& parameter is already
+    # checked by check_scratch_functions; report each body once.
+    seen = {body for _name, params, body, _line in iter_function_defs(toks)
+            if params_have_scratch_ref(params)}
+    for cls, name, (lo, hi) in bodies:
+        if (lo, hi) in seen:
+            continue
+        seen.add((lo, hi))
+        for cont, cline in body_container_decls(toks, lo, hi,
+                                                LOCAL_CONTAINER_BAN):
+            findings.append(Finding(
+                "scratch-local-container", file, cline, f"{name}:{cont}",
+                f"{cls}::{name} runs over a *Scratch& member precisely to "
+                f"avoid per-call allocation, but declares a local "
+                f"std::{cont}; route the buffer through the scratch struct "
+                "instead"))
+
+
 def check_relocation_remap(file, toks, findings):
     """Functions that construct a FrozenInternTier/FrozenPfTier Builder
     while reading an existing tier must use the RelocationTable API --
@@ -1013,6 +1090,7 @@ def lint_files(files, hot_paths, reloc_paths, worker_paths):
         check_epoch_definitions(f, toks, findings, static_names)
         if in_hot_path(f, hot_paths):
             check_scratch_functions(f, toks, findings)
+            check_scratch_members(f, toks, classes, findings)
             check_banned_tokens(f, toks, findings)
         if in_hot_path(f, reloc_paths):
             check_relocation_remap(f, toks, findings)

@@ -36,6 +36,12 @@ CASES = {
         [("scratch-local-container", "widenStep:vector")],
         ["widenOk:vector"],
     ),
+    "scratch_member_container_bad.cpp": (
+        [("scratch-local-container", "refine:vector"),
+         ("scratch-local-container", "relabel:unordered_map"),
+         ("scratch-local-container", "emit:vector")],
+        ["borrow:vector", "tally:vector"],
+    ),
     "banned_container_bad.cpp": (
         [("banned-container", "std::map")],
         [],
