@@ -241,7 +241,6 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
         "\"widen_invocations\": %llu, \"widen_cache_hits\": %llu, "
         "\"widen_clash_walks\": %llu, \"widen_clashes\": %llu, "
         "\"widen_cycle_introductions\": %llu, \"widen_replacements\": %llu, "
-        "\"widen_incremental_skips\": %llu, "
         "\"widen_budget_exhaustions\": %llu, \"pf_set_hit_rate\": %.4f, "
         "\"converged\": %s}%s\n",
         Row.Key.c_str(), S.SolveSeconds,
@@ -265,7 +264,6 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
         static_cast<unsigned long long>(W.Clashes),
         static_cast<unsigned long long>(W.CycleIntroductions),
         static_cast<unsigned long long>(W.Replacements),
-        static_cast<unsigned long long>(W.IncrementalSkips),
         static_cast<unsigned long long>(W.BudgetExhaustions),
         S.pfSetHitRate(), Row.Base.Converged ? "true" : "false",
         I + 1 != Rows.size() ? "," : "");

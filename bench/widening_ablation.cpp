@@ -10,12 +10,12 @@
 ///
 /// Since the widening fast-path work this harness also reports the
 /// widening hot-loop counters for the widening-heavy Table 3 programs
-/// (clash counts, transform rule firings, incremental re-walk skips,
-/// pf-set interner hit rates) and — via a counting global `operator new`,
-/// the same harness bench/normalize_hot.cpp uses — **allocations per
-/// warm widening** on the worst-case graph pairs the PR and RE analyses
-/// produce. The tentpole claim is that a warm `widenOf` is
-/// allocation-free in steady state (<= 1 alloc/op).
+/// (clash counts, transform rule firings, pf-set interner hit rates)
+/// and — via a counting global `operator new`, the same harness
+/// bench/normalize_hot.cpp uses — **allocations per warm widening** on
+/// the worst-case graph pairs the PR and RE analyses produce. The claim
+/// is that a warm `widenOf` is allocation-free in steady state (<= 1
+/// alloc/op).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,25 +111,22 @@ static void printAblation() {
 
 /// Widening hot-loop counters for the widening-heavy Table 3 programs:
 /// how many correspondence walks ran, how many clashes they found, which
-/// transform rules fired, how much the incremental re-walk skipped, and
-/// how the pf-set interner behaved.
+/// transform rules fired, and how the pf-set interner behaved.
 static void printHotLoopCounters() {
   std::printf("--- widening hot-loop counters (uncapped runs) ---\n");
-  std::printf("%-5s %6s %7s %8s %7s %6s %6s %8s %8s\n", "prog", "widen",
-              "walks", "clashes", "cycles", "repl", "skips", "pfHit%",
-              "pfSets");
+  std::printf("%-5s %6s %7s %8s %7s %6s %8s %8s\n", "prog", "widen",
+              "walks", "clashes", "cycles", "repl", "pfHit%", "pfSets");
   for (const char *Key : {"PR", "RE", "BR", "KA"}) {
     const BenchmarkProgram *B = findBenchmark(Key);
     AnalysisResult R = runBenchmark(*B);
     const WideningStats &W = R.WStats;
     double PfHit = 100.0 * R.Stats.pfSetHitRate();
-    std::printf("%-5s %6llu %7llu %8llu %7llu %6llu %6llu %7.1f%% %8llu\n",
+    std::printf("%-5s %6llu %7llu %8llu %7llu %6llu %7.1f%% %8llu\n",
                 Key, (unsigned long long)W.Invocations,
                 (unsigned long long)W.ClashWalks,
                 (unsigned long long)W.Clashes,
                 (unsigned long long)W.CycleIntroductions,
-                (unsigned long long)W.Replacements,
-                (unsigned long long)W.IncrementalSkips, PfHit,
+                (unsigned long long)W.Replacements, PfHit,
                 (unsigned long long)R.Stats.PfSetMisses);
   }
   std::printf("\n");

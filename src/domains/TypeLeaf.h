@@ -59,7 +59,8 @@ struct TypeLeaf {
     /// shared tier, Ops' frozen maps, the interner's frozen prefix and
     /// the pre-primed Consts all point into the SharedCache; holding the
     /// refcount here guarantees they outlive every value this context
-    /// hands out, even if the tier is rotated while a job still runs.
+    /// hands out, even if the caller drops its own reference to the
+    /// tier while a job still runs.
     std::shared_ptr<const SharedCache> Shared;
   };
 

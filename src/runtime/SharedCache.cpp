@@ -104,18 +104,10 @@ SharedCache::build(const std::vector<AnalysisJob> &Warmup,
   SC->BuiltOpts = Opts;
   SC->BuiltOpts.Shared = nullptr;
 
-  // One accumulating table + cache across all warmup jobs; the cache may
-  // itself sit on a previous batch's tier (freeze() merges the two).
-  // The table must then start from that tier's snapshot so the frozen
-  // graphs' functor ids keep meaning the same symbols.
-  const SharedCache *Prev = nullptr;
-  if (Opts.Shared && Opts.Shared->compatibleWith(Opts))
-    Prev = Opts.Shared.get();
-  if (Prev)
-    SC->Syms = Prev->symbols();
+  // One accumulating table + cache across all warmup jobs, both cold.
   NormalizeOptions Norm;
   Norm.OrCap = Opts.OrCap;
-  OpCache Warm(SC->Syms, Norm, Prev ? Prev->ops() : nullptr);
+  OpCache Warm(SC->Syms, Norm);
 
   AnalyzerOptions WarmOpts = Opts;
   WarmOpts.Shared = nullptr;

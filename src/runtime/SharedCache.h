@@ -28,10 +28,9 @@
 /// run — the property bench/throughput.cpp and
 /// tests/ServiceBatchTest.cpp assert.
 ///
-/// A tier is built once and then only read. The one way to grow the
-/// cache is to build a new tier stacked on an old one (build() with
-/// Opts.Shared set): the old tier's ids are the new tier's prefix,
-/// carried across through identity RelocationTables.
+/// A tier is built once, from a cold cache, and then only read. Tiers do
+/// not stack: to cover more programs, build a new tier from a warmup
+/// list that names them all.
 ///
 /// The frozen results are only valid for runs with the same
 /// normalization and widening configuration as the warmup;
@@ -84,11 +83,10 @@ public:
   };
 
   /// Runs \p Warmup sequentially under \p Opts against one accumulating
-  /// cache and freezes it. Returns null (with \p Err set) if a warmup
-  /// job fails to parse or analyze, or if \p Opts cannot use the op
-  /// cache (PF domain / UseOpCache off). \p Opts.Shared, if set, is the
-  /// tier to layer the warmup itself over — freezing a batch on top of a
-  /// previous batch's cache.
+  /// cold cache and freezes it. Returns null (with \p Err set) if a
+  /// warmup job fails to parse or analyze, or if \p Opts cannot use the
+  /// op cache (PF domain / UseOpCache off). \p Opts.Shared is ignored:
+  /// the warmup never reads a previous tier.
   static std::shared_ptr<const SharedCache>
   build(const std::vector<AnalysisJob> &Warmup, const AnalyzerOptions &Opts,
         std::string *Err = nullptr);

@@ -262,25 +262,14 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
 
 std::shared_ptr<const FrozenInternTier>
 GraphInterner::freeze(bool SealStorage) const {
+  assert(!Shared && "a tier is frozen from a cold interner only");
   FrozenInternTier::Builder B;
   B.Epoch = nextInternerEpoch();
 
-  // Stacking preserves every id: the relocation from the (shared tier +
-  // delta) id space into the new tier is the identity table, and every
-  // cross-tier id is routed through it, per the gaia-lint
-  // relocation-remap rule.
-  const RelocationTable<CanonId> Reloc =
-      RelocationTable<CanonId>::identity(size());
-
-  // Canonical graphs: the shared tier's prefix plus this interner's
-  // private delta, at their relocated ids. Fill the vector completely
+  // Canonical graphs, at their own ids. Fill the vector completely
   // before taking pointers into it for the buckets (the final move into
   // the tier steals the buffer, so the pointers stay valid).
-  B.Canon.reserve(Reloc.size());
-  if (Shared)
-    B.Canon.insert(B.Canon.end(), Shared->Canon.begin(),
-                   Shared->Canon.end());
-  B.Canon.insert(B.Canon.end(), Canon.begin(), Canon.end());
+  B.Canon.assign(Canon.begin(), Canon.end());
   for (CanonId Id = 0; Id != static_cast<CanonId>(B.Canon.size()); ++Id) {
     // Precompute the lazily-filled mutable caches now, so tier lookups
     // are pure reads: concurrent workers must never write into these
@@ -291,32 +280,18 @@ GraphInterner::freeze(bool SealStorage) const {
 
   // Re-home the structural buckets: canonical representatives point at
   // the new Canon storage, recorded aliases are copied over.
-  auto AddBuckets = [&](const auto &Buckets, auto IsCanonical) {
-    for (const auto &[Hash, Entries] : Buckets)
-      for (const auto &[Rep, Id] : Entries) {
-        CanonId New = Reloc.map(Id);
-        if (IsCanonical(Rep, Id)) {
-          B.StructBuckets[Hash].emplace_back(&B.Canon[New], New);
-        } else {
-          B.Aliases.push_back(*Rep);
-          structuralHash(B.Aliases.back());
-          B.StructBuckets[Hash].emplace_back(&B.Aliases.back(), New);
-        }
+  for (const auto &[Hash, Entries] : StructBuckets)
+    for (const auto &[Rep, Id] : Entries) {
+      if (Rep == &Canon[Id]) {
+        B.StructBuckets[Hash].emplace_back(&B.Canon[Id], Id);
+      } else {
+        B.Aliases.push_back(*Rep);
+        structuralHash(B.Aliases.back());
+        B.StructBuckets[Hash].emplace_back(&B.Aliases.back(), Id);
       }
-  };
-  if (Shared)
-    AddBuckets(Shared->StructBuckets, [&](const TypeGraph *Rep, CanonId Id) {
-      return Rep == &Shared->Canon[Id];
-    });
-  AddBuckets(StructBuckets, [&](const TypeGraph *Rep, CanonId Id) {
-    return Id >= Base && Rep == &graph(Id);
-  });
+    }
 
-  if (Shared)
-    for (const auto &[Key, Id] : Shared->AutoMap)
-      B.AutoMap.emplace(Key, Reloc.map(Id));
-  for (const auto &[Key, Id] : AutoMap)
-    B.AutoMap.emplace(Key, Reloc.map(Id));
+  B.AutoMap.insert(AutoMap.begin(), AutoMap.end());
   // Entries interned on the certified path have no key yet. Complete
   // them: a worker over this tier that meets an uncertified alias of a
   // tier language must find the tier's id by automaton.
@@ -324,9 +299,8 @@ GraphInterner::freeze(bool SealStorage) const {
   // with the call instead of pinning memory on the freezing thread.
   if (!NeedKeys) {
     NormalizeScratch KeyScratch;
-    for (uint32_t I = 0; I != Canon.size(); ++I)
-      B.AutoMap.emplace(automatonKey(Canon[I], Syms, &KeyScratch),
-                        Reloc.map(Base + I));
+    for (CanonId Id = 0; Id != Canon.size(); ++Id)
+      B.AutoMap.emplace(automatonKey(Canon[Id], Syms, &KeyScratch), Id);
   }
   B.HasUncertified = NeedKeys;
 

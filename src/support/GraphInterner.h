@@ -55,7 +55,6 @@
 
 #include "support/FrozenArena.h"
 #include "support/Hashing.h"
-#include "support/Relocation.h"
 #include "typegraph/Normalize.h"
 #include "typegraph/TypeGraph.h"
 
@@ -227,8 +226,9 @@ public:
   /// Number of languages interned privately (beyond the shared tier).
   uint32_t deltaSize() const { return static_cast<uint32_t>(Canon.size()); }
 
-  /// Snapshots this interner (shared tier included, ids preserved) into
-  /// an immutable tier safe for unsynchronized concurrent lookups. By
+  /// Snapshots this interner (ids preserved) into an immutable tier safe
+  /// for unsynchronized concurrent lookups. Only an interner built
+  /// without a shared tier may be frozen: tiers do not stack. By
   /// default the tier's audit-build storage is sealed before returning;
   /// OpCache::freeze() passes \p SealStorage = false so it can prime the
   /// frozen graphs' topology caches first, then seals via sealStorage().

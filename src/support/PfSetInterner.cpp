@@ -2,8 +2,6 @@
 
 #include "support/PfSetInterner.h"
 
-#include "support/Relocation.h"
-
 #include <algorithm>
 #include <atomic>
 #include <cassert>
@@ -89,35 +87,13 @@ bool PfSetInterner::subsetWalk(PfSetId A, PfSetId B) const {
 }
 
 std::shared_ptr<const FrozenPfTier> PfSetInterner::freeze() const {
+  assert(!Shared && "a tier is frozen from a cold interner only");
   FrozenPfTier::Builder B;
   B.Epoch = nextPfEpoch();
-  // Stacking preserves every pf-set id: the relocation into the new tier
-  // is the identity table (mirroring GraphInterner::freeze).
-  const RelocationTable<PfSetId> Reloc =
-      RelocationTable<PfSetId>::identity(numSets());
-  if (Shared) {
-    B.Pool.assign(Shared->Pool.begin(), Shared->Pool.end());
-    B.Sets.assign(Shared->Sets.begin(), Shared->Sets.end());
-    for (const auto &[H, Ids] : Shared->Buckets) {
-      auto &Bucket = B.Buckets[H];
-      Bucket.reserve(Ids.size());
-      for (PfSetId Id : Ids)
-        Bucket.push_back(Reloc.map(Id));
-    }
-  }
-  // Append the private delta; private offsets shift by the tier pool
-  // size, ids are preserved (identity relocation).
-  uint32_t PoolBase = static_cast<uint32_t>(B.Pool.size());
-  B.Pool.insert(B.Pool.end(), Pool.begin(), Pool.end());
-  B.Sets.reserve(B.Sets.size() + Sets.size());
-  for (const FrozenPfTier::Entry &E : Sets)
-    B.Sets.push_back({E.Offset + PoolBase, E.Size, E.Mask});
-  for (const auto &[H, Ids] : Buckets) {
-    auto &Bucket = B.Buckets[H];
-    for (PfSetId Id : Ids)
-      if (Id >= Base) // tier ids were copied with the tier's buckets
-        Bucket.push_back(Reloc.map(Id));
-  }
+  B.Pool.assign(Pool.begin(), Pool.end());
+  B.Sets.assign(Sets.begin(), Sets.end());
+  for (const auto &[H, Ids] : Buckets)
+    B.Buckets[H].assign(Ids.begin(), Ids.end());
   auto T = std::make_shared<const FrozenPfTier>(std::move(B));
   T->sealStorage();
   return T;

@@ -191,8 +191,9 @@ public:
   uint32_t sharedSize() const { return Base; }
   uint64_t sharedEpoch() const { return Shared ? Shared->Epoch : 0; }
 
-  /// Snapshots this interner (shared tier included, ids preserved) into
-  /// an immutable tier safe for unsynchronized concurrent lookups.
+  /// Snapshots this interner (ids preserved) into an immutable tier safe
+  /// for unsynchronized concurrent lookups. Only an interner built
+  /// without a shared tier may be frozen: tiers do not stack.
   std::shared_ptr<const FrozenPfTier> freeze() const;
 
   const FrozenPfTier *sharedTier() const { return Shared.get(); }

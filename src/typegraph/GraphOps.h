@@ -114,8 +114,8 @@ private:
 /// tier, runtime/SharedCache.h) — pf-set ids are what the widening's
 /// topology caches and clash tests are keyed on.
 ///
-/// The widening-loop members (walk/clean tables, topology arrays, dirty
-/// propagation buffers) are implementation state of typegraph/Widening.cpp;
+/// The widening-loop members (walk table, topology arrays, the
+/// size-walk buffers) are implementation state of typegraph/Widening.cpp;
 /// they live here so a warm widening performs no allocations.
 class WideningScratch {
 public:
@@ -134,39 +134,25 @@ public:
   PairTable ProductMemo;
 
   // --- widening loop state (see typegraph/Widening.cpp) ---
-  /// Correspondence-walk visited set, mapping pair -> walk index.
+  /// Correspondence-walk visited set.
   PairTable WalkSeen;
-  /// Pairs whose cone was clash-free in the previous walk.
-  PairTable Clean;
-  std::vector<std::pair<NodeId, NodeId>> Pairs;     ///< walk pair list
-  std::vector<std::pair<uint32_t, uint32_t>> Edges; ///< pair-graph edges
-  std::vector<uint8_t> Flags;                       ///< per-pair walk flags
+  std::vector<std::pair<NodeId, NodeId>> Pairs; ///< walk pair queue
   std::vector<std::pair<NodeId, NodeId>> Clashes;
   /// Gn topology, filled by TypeGraph::fillTopology (the same code that
-  /// fills the per-graph caches); PrevDepth double-buffers the depths
-  /// for the incremental dirty diff.
+  /// fills the per-graph caches).
   TypeGraph::Topology GnTopo;
-  std::vector<uint32_t> PrevDepth;
   std::vector<NodeId> OrAnc;
   std::vector<uint32_t> BfsPos, Pf;
-  /// Dirty-region propagation: structurally touched nodes, reverse-CSR
-  /// adjacency, epoch-marked node sets.
-  std::vector<NodeId> DirtyStruct, Worklist;
-  std::vector<uint32_t> PredOff, PredDat, CsrFill;
-  std::vector<uint64_t> NodeMark, ReachMark;
-  uint64_t NodeEpoch = 0, ReachEpoch = 0;
+  /// Worklist and epoch-marked node set of the graph-size walk.
+  std::vector<NodeId> Worklist;
+  std::vector<uint64_t> NodeMark;
+  uint64_t NodeEpoch = 0;
   std::vector<NodeId> StartBuf; ///< collapsing-union start vertices
-  std::vector<uint32_t> PairWork;
 
   uint64_t beginNodeEpoch(size_t N) {
     if (NodeMark.size() < N)
       NodeMark.resize(N, 0);
     return ++NodeEpoch;
-  }
-  uint64_t beginReachEpoch(size_t N) {
-    if (ReachMark.size() < N)
-      ReachMark.resize(N, 0);
-    return ++ReachEpoch;
   }
 };
 

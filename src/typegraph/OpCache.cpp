@@ -238,6 +238,7 @@ TypeGraph OpCache::constructOf(FunctorId Fn,
 }
 
 std::shared_ptr<const FrozenOpTier> OpCache::freeze() const {
+  assert(!Shared && "a tier is frozen from a cold cache only");
   FrozenOpTier::Builder B;
 
   // Pf pre-pass: make sure every pf-set a widening over a tier graph
@@ -269,18 +270,6 @@ std::shared_ptr<const FrozenOpTier> OpCache::freeze() const {
   }
   B.Intern->sealStorage();
   B.Norm = Norm;
-  // Merge: the shared tier's results first, then the private delta. Keys
-  // never conflict on semantics (both tiers record the same pure
-  // function of the operand languages), so insert's keep-first policy
-  // is immaterial.
-  if (Shared) {
-    B.Incl.insert(Shared->Incl.begin(), Shared->Incl.end());
-    B.Union.insert(Shared->Union.begin(), Shared->Union.end());
-    B.Inter.insert(Shared->Inter.begin(), Shared->Inter.end());
-    B.Widen.insert(Shared->Widen.begin(), Shared->Widen.end());
-    B.Restrict.insert(Shared->Restrict.begin(), Shared->Restrict.end());
-    B.Construct.insert(Shared->Construct.begin(), Shared->Construct.end());
-  }
   B.Incl.insert(Incl.begin(), Incl.end());
   B.Union.insert(Union.begin(), Union.end());
   B.Inter.insert(Inter.begin(), Inter.end());

@@ -200,8 +200,9 @@ public:
   const FrozenOpTier *sharedTier() const { return Shared.get(); }
   const OpCacheStats &stats() const { return St; }
 
-  /// Snapshots this cache (shared tier included, ids preserved) into an
-  /// immutable tier safe for unsynchronized concurrent lookups.
+  /// Snapshots this cache (ids preserved) into an immutable tier safe
+  /// for unsynchronized concurrent lookups. Only a cache built without a
+  /// shared tier may be frozen: tiers do not stack.
   std::shared_ptr<const FrozenOpTier> freeze() const;
 
 private:

@@ -6,8 +6,7 @@
 ///   - the old graph's topology (depths, parents, or-ancestors, interned
 ///     pf-set ids) comes from its per-graph cache and is computed once
 ///     per distinct value, not once per transform;
-///   - the evolving graph's topology lives in reusable scratch arrays,
-///     double-buffered so a transform's depth changes can be diffed;
+///   - the evolving graph's topology lives in reusable scratch arrays;
 ///   - pf-set comparisons are PfSetInterner id compares / mask-guarded
 ///     subset walks, never vector materializations;
 ///   - transforms mutate the graph in place (append + edge redirection)
@@ -16,12 +15,10 @@
 ///     order-sensitive decisions are made on BFS positions, which are
 ///     invariant under compaction, so the transform sequence is
 ///     bit-identical to the historic copy-per-step implementation;
-///   - the correspondence re-walk after a transform is *incremental*: a
-///     pair whose cone held no clash in the previous walk and whose
-///     graph region is untouched (no structural edit, no depth change)
-///     is skipped wholesale. Dirty regions are found by diffing the
-///     double-buffered depths plus the edit sites, and propagated
-///     backwards over a reverse-CSR of the graph.
+///   - the correspondence relation is recomputed by one full walk after
+///     every transform, as the paper does. The graphs are small (no
+///     Section 9 program runs more than 109 walks), so a walk costs
+///     about what tracking the regions a transform left untouched would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,10 +33,6 @@
 using namespace gaia;
 
 namespace {
-
-/// Per-pair walk flags (WideningScratch::Flags).
-constexpr uint8_t FlagClash = 1;      ///< pair is a widening clash
-constexpr uint8_t FlagReachClash = 2; ///< a clash is reachable from it
 
 /// Splices \p Rep in place of the subtree rooted at or-vertex \p Va.
 /// Implementation of detail::graftReplace; see the header comment there
@@ -76,135 +69,42 @@ public:
            const WideningOptions &Opts, WideningStats *Stats,
            NormalizeScratch *NScratch, WideningScratch &W)
       : Go(Go), Gn(Gn), CGn(Gn), Syms(Syms), Opts(Opts), Stats(Stats),
-        NScratch(NScratch), W(W), TopoO(Go.topology(Syms, W.PfSets)) {
-    // Forget any clean-cone state a previous widening left behind.
-    W.Clean.begin();
-  }
+        NScratch(NScratch), W(W), TopoO(Go.topology(Syms, W.PfSets)) {}
 
-  /// One pass of the widen() loop: recompute (incrementally) the clash
-  /// relation, then try the cycle introduction rule and the replacement
-  /// rule. Returns true if a transformation was applied (mutating Gn).
+  /// One pass of the widen() loop: recompute the clash relation, then
+  /// try the cycle introduction rule and the replacement rule. Returns
+  /// true if a transformation was applied (mutating Gn).
   bool applyOneTransform() {
-    buildGnTopo();
+    // Gn's topology, through the same helper that builds the per-graph
+    // caches.
+    Gn.fillTopology(Syms, W.PfSets, W.GnTopo, W.BfsPos, W.OrAnc, W.Pf);
     clashWalk();
     if (W.Clashes.empty())
       return false;
-    rebuildClean();
     return cycleIntroduction() || replacement();
   }
 
 private:
-  //===--------------------------------------------------------------------//
-  // Topology of the evolving graph, in scratch.
-  //===--------------------------------------------------------------------//
-
-  void buildGnTopo() {
-    // Keep last iteration's depths for the incremental dirty diff, then
-    // refill through the same helper that builds the per-graph caches.
-    W.PrevDepth.swap(W.GnTopo.Depth);
-    Gn.fillTopology(Syms, W.PfSets, W.GnTopo, W.BfsPos, W.OrAnc, W.Pf);
-  }
-
-  //===--------------------------------------------------------------------//
-  // Dirty-region propagation for the incremental re-walk.
-  //===--------------------------------------------------------------------//
-
-  /// Marks (in ReachMark/ReachEpoch) every vertex of Gn from which a
-  /// *dirty* vertex is reachable. Dirty = structurally edited by the last
-  /// transform, newly appended, or BFS depth changed (depth enters the
-  /// clash conditions, so a depth shift can surface clashes in a
-  /// structurally untouched cone).
-  void propagateDirty() {
-    uint32_t N = Gn.numNodes();
-    uint64_t Epoch = W.beginReachEpoch(N);
-    W.Worklist.clear();
-    auto Seed = [&](NodeId V) {
-      if (W.ReachMark[V] != Epoch) {
-        W.ReachMark[V] = Epoch;
-        W.Worklist.push_back(V);
-      }
-    };
-    uint32_t PrevN = static_cast<uint32_t>(W.PrevDepth.size());
-    for (NodeId V = 0; V != PrevN && V != N; ++V)
-      if (W.GnTopo.Depth[V] != W.PrevDepth[V])
-        Seed(V);
-    for (NodeId V = PrevN; V < N; ++V)
-      Seed(V);
-    for (NodeId V : W.DirtyStruct)
-      Seed(V);
-
-    // Reverse CSR over the reachable part of Gn.
-    W.PredOff.assign(N + 1, 0);
-    for (NodeId V : W.GnTopo.BfsOrder)
-      for (NodeId S : CGn.node(V).Succs)
-        ++W.PredOff[S + 1];
-    for (uint32_t I = 0; I != N; ++I)
-      W.PredOff[I + 1] += W.PredOff[I];
-    W.PredDat.resize(W.PredOff[N]);
-    W.CsrFill.assign(W.PredOff.begin(), W.PredOff.end() - 1);
-    for (NodeId V : W.GnTopo.BfsOrder)
-      for (NodeId S : CGn.node(V).Succs)
-        W.PredDat[W.CsrFill[S]++] = V;
-
-    while (!W.Worklist.empty()) {
-      NodeId V = W.Worklist.back();
-      W.Worklist.pop_back();
-      for (uint32_t I = W.PredOff[V], E = W.PredOff[V + 1]; I != E; ++I) {
-        NodeId P = W.PredDat[I];
-        if (W.ReachMark[P] != Epoch) {
-          W.ReachMark[P] = Epoch;
-          W.Worklist.push_back(P);
-        }
-      }
-    }
-  }
-
-  bool reachesDirty(NodeId V) const {
-    return W.ReachMark[V] == W.ReachEpoch;
-  }
-
   //===--------------------------------------------------------------------//
   // The correspondence walk (Definitions 7.1-7.3).
   //===--------------------------------------------------------------------//
 
   /// Walks the correspondence relation of Definition 7.1 from the roots,
   /// collecting widening clashes into W.Clashes (sorted shallow-first in
-  /// the canonical BFS order). Pairs certified clash-free by the previous
-  /// walk whose Gn cone is untouched are skipped wholesale.
-  void clashWalk(bool AllowSkip = true) {
-    bool Skip = AllowSkip && HavePrev;
-    if (Skip)
-      propagateDirty();
+  /// the canonical BFS order).
+  void clashWalk() {
     W.WalkSeen.begin();
     W.Pairs.clear();
-    W.Edges.clear();
-    W.Flags.clear();
     W.Clashes.clear();
-    auto PairIndex = [&](NodeId Vo, NodeId Vn) {
-      auto [Val, Inserted] =
-          W.WalkSeen.insert(Vo, Vn, static_cast<uint32_t>(W.Pairs.size()));
-      if (Inserted) {
+    auto Child = [&](NodeId Vo, NodeId Vn) {
+      if (W.WalkSeen.insert(Vo, Vn).second)
         W.Pairs.emplace_back(Vo, Vn);
-        W.Flags.push_back(0);
-      }
-      return Val;
     };
-    PairIndex(Go.root(), Gn.root());
+    Child(Go.root(), Gn.root());
     for (uint32_t I = 0; I != W.Pairs.size(); ++I) {
       auto [Vo, Vn] = W.Pairs[I];
-      if (Skip && W.Clean.find(Vo, Vn) && !reachesDirty(Vn)) {
-        // Clash-free last walk, nothing in the cone changed: the re-walk
-        // would reproduce exactly no clashes below this pair.
-        if (Stats)
-          ++Stats->IncrementalSkips;
-        continue;
-      }
       const TGNode &No = Go.node(Vo);
       const TGNode &Nn = CGn.node(Vn);
-      auto Child = [&](NodeId A, NodeId B) {
-        uint32_t C = PairIndex(A, B);
-        W.Edges.emplace_back(I, C);
-      };
       if (No.Kind == NodeKind::Func && Nn.Kind == NodeKind::Func) {
         assert(No.Fn == Nn.Fn && "corresponding functor vertices must agree");
         for (size_t J = 0, E = No.Succs.size(); J != E; ++J)
@@ -230,10 +130,8 @@ private:
         continue;
       bool PfClash = PfO != PfN && SameDepth;
       bool DepthClash = TopoO.Topo.Depth[Vo] < W.GnTopo.Depth[Vn];
-      if (PfClash || DepthClash) {
-        W.Flags[I] |= FlagClash;
+      if (PfClash || DepthClash)
         W.Clashes.emplace_back(Vo, Vn);
-      }
     }
     // Deterministic processing order: shallow clash vertices first. BFS
     // position order equals the (depth, compacted id) order the historic
@@ -245,68 +143,10 @@ private:
                   return W.BfsPos[A.second] < W.BfsPos[B.second];
                 return A.first < B.first;
               });
-    if (Stats && AllowSkip) { // the debug audit walk below must not tick
+    if (Stats) {
       ++Stats->ClashWalks;
       Stats->Clashes += W.Clashes.size();
     }
-#ifndef NDEBUG
-    if (Skip) {
-      // Incremental-walk audit: the skip rule must reproduce the full
-      // walk's clash list exactly. Snapshot and restore the pair-graph
-      // buffers around the full re-walk, so rebuildClean consumes the
-      // *incremental* walk's state — debug builds must execute exactly
-      // the schedule release builds ship.
-      auto SavedPairs = W.Pairs;
-      auto SavedEdges = W.Edges;
-      auto SavedFlags = W.Flags;
-      auto Incremental = W.Clashes;
-      clashWalk(/*AllowSkip=*/false);
-      assert(Incremental == W.Clashes &&
-             "incremental clash re-walk diverged from the full walk");
-      W.Pairs = std::move(SavedPairs);
-      W.Edges = std::move(SavedEdges);
-      W.Flags = std::move(SavedFlags);
-      W.Clashes = std::move(Incremental);
-    }
-#endif
-    HavePrev = true;
-  }
-
-  /// Rebuilds the clean-cone table from the walk just performed: a pair
-  /// is clean iff no clash pair is reachable from it in the pair graph.
-  void rebuildClean() {
-    uint32_t P = static_cast<uint32_t>(W.Pairs.size());
-    // Reverse CSR over the pair graph (edge target -> sources).
-    W.PredOff.assign(P + 1, 0);
-    for (const auto &[From, To] : W.Edges)
-      ++W.PredOff[To + 1];
-    for (uint32_t I = 0; I != P; ++I)
-      W.PredOff[I + 1] += W.PredOff[I];
-    W.PredDat.resize(W.PredOff[P]);
-    W.CsrFill.assign(W.PredOff.begin(), W.PredOff.end() - 1);
-    for (const auto &[From, To] : W.Edges)
-      W.PredDat[W.CsrFill[To]++] = From;
-    W.PairWork.clear();
-    for (uint32_t I = 0; I != P; ++I)
-      if (W.Flags[I] & FlagClash) {
-        W.Flags[I] |= FlagReachClash;
-        W.PairWork.push_back(I);
-      }
-    while (!W.PairWork.empty()) {
-      uint32_t I = W.PairWork.back();
-      W.PairWork.pop_back();
-      for (uint32_t J = W.PredOff[I], E = W.PredOff[I + 1]; J != E; ++J) {
-        uint32_t Pred = W.PredDat[J];
-        if (!(W.Flags[Pred] & FlagReachClash)) {
-          W.Flags[Pred] |= FlagReachClash;
-          W.PairWork.push_back(Pred);
-        }
-      }
-    }
-    W.Clean.begin();
-    for (uint32_t I = 0; I != P; ++I)
-      if (!(W.Flags[I] & FlagReachClash))
-        W.Clean.insert(W.Pairs[I].first, W.Pairs[I].second);
   }
 
   //===--------------------------------------------------------------------//
@@ -331,8 +171,6 @@ private:
         for (NodeId &S : Gn.node(Parent).Succs)
           if (S == Vn)
             S = Va;
-        W.DirtyStruct.clear();
-        W.DirtyStruct.push_back(Parent);
         if (Stats)
           ++Stats->CycleIntroductions;
         return true;
@@ -439,29 +277,18 @@ private:
 
   /// Commits the replacement in place: append a copy of Rep, redirect
   /// every edge into Va (and the root, if Va is the root) onto it. The
-  /// orphaned subtree stays as garbage until the final compaction —
-  /// surviving vertices keep their ids, which is what lets the next
-  /// clash walk run incrementally.
+  /// orphaned subtree stays as garbage until the final compaction.
   void commitReplace(NodeId Va, const TypeGraph &Rep) {
     uint32_t Old = Gn.numNodes();
     NodeId RepRoot = copySubgraph(Rep, Rep.root(), Gn);
-    W.DirtyStruct.clear();
     if (Va == Gn.root()) {
       Gn.setRoot(RepRoot);
-      // Everything moved; the next walk starts from scratch.
-      HavePrev = false;
       return;
     }
-    for (NodeId V = 0; V != Old; ++V) {
-      bool Touched = false;
+    for (NodeId V = 0; V != Old; ++V)
       for (NodeId &S : Gn.node(V).Succs)
-        if (S == Va) {
+        if (S == Va)
           S = RepRoot;
-          Touched = true;
-        }
-      if (Touched)
-        W.DirtyStruct.push_back(V);
-    }
   }
 
   const TypeGraph &Go;
@@ -476,7 +303,6 @@ private:
   NormalizeScratch *NScratch;
   WideningScratch &W;
   const TypeGraph::TopoCache &TopoO;
-  bool HavePrev = false;
 };
 
 /// Shared implementation: \p CheckInclusion is false when the caller has

@@ -89,9 +89,6 @@ struct WideningStats {
   uint64_t Clashes = 0;
   /// Correspondence walks performed (one per transform-loop iteration).
   uint64_t ClashWalks = 0;
-  /// Pair cones skipped by the incremental re-walk because they were
-  /// clash-free in the previous walk and no vertex in them changed.
-  uint64_t IncrementalSkips = 0;
 };
 
 /// Computes Gold V Gnew. Both inputs must be normalized; the result is

@@ -16,14 +16,10 @@
 #include "support/PfSetInterner.h"
 #include "typegraph/OpCache.h"
 
-#include "programs/Benchmarks.h"
-#include "runtime/SharedCache.h"
-
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <vector>
 
 using namespace gaia;
@@ -152,43 +148,6 @@ TEST(FrozenTierAuditDeathTest, OpTierPostFreezeWriteFaults) {
   ASSERT_TRUE(Tier->Arena && Tier->Arena->sealed());
   ASSERT_FALSE(Tier->Union.empty());
   EXPECT_DEATH(pokeConst(*Tier->Union.begin()), "");
-#endif
-}
-
-/// The seal must survive stacking: a tier built over a previous tier is
-/// a brand-new freeze (old entries copied into a fresh arena, the new
-/// warmup's entries appended past them), and both halves must be as
-/// read-only as the original build.
-TEST(FrozenTierAuditDeathTest, StackedTierIsSealedLikeAFreshFreeze) {
-#ifndef GAIA_AUDIT
-  GTEST_SKIP() << "audit seal requires -DGAIA_AUDIT=ON";
-#else
-  const BenchmarkProgram *B = findBenchmark("QU");
-  ASSERT_NE(B, nullptr);
-  std::vector<AnalysisJob> Lower{{B->Key, B->Source, B->GoalSpec}};
-  std::string Err;
-  std::shared_ptr<const SharedCache> Cache =
-      SharedCache::build(Lower, AnalyzerOptions{}, &Err);
-  ASSERT_NE(Cache, nullptr) << Err;
-  // A query variant the lower tier never saw, so the stacked tier has
-  // entries of its own.
-  std::string Goal = B->GoalSpec;
-  size_t Pos = Goal.find("any");
-  ASSERT_NE(Pos, std::string::npos);
-  Goal.replace(Pos, 3, "list");
-  std::vector<AnalysisJob> Upper{{B->Key + "#list", B->Source, Goal}};
-  AnalyzerOptions Over;
-  Over.Shared = Cache;
-  std::shared_ptr<const SharedCache> Stacked =
-      SharedCache::build(Upper, Over, &Err);
-  ASSERT_NE(Stacked, nullptr) << Err;
-  const FrozenInternTier &IT = *Stacked->ops()->Intern;
-  ASSERT_TRUE(IT.Arena && IT.Arena->sealed());
-  ASSERT_GT(IT.size(), Cache->ops()->Intern->size());
-  // Both a carried-over entry (id 0) and the newest stacked entry live
-  // in the stacked tier's sealed arena.
-  EXPECT_DEATH(pokeConst(IT.Canon[0]), "");
-  EXPECT_DEATH(pokeConst(IT.Canon[IT.size() - 1]), "");
 #endif
 }
 

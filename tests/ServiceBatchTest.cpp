@@ -5,9 +5,8 @@
 /// wait for every ticket) over the frozen shared cache tier
 /// (runtime/SharedCache.h): on any number of workers, in any scheduling
 /// order, results are bit-identical to a cold sequential analyzeProgram
-/// run. It also covers the tier mechanics: id-space layering,
-/// compatibility gating, and re-freezing a batch on top of a previous
-/// batch's tier.
+/// run. It also covers the tier mechanics: id-space layering and
+/// compatibility gating.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -154,69 +153,6 @@ TEST_F(ServiceBatchTest, IncompatibleOptionsBypassTheTierSoundly) {
   EXPECT_FALSE(Cache->compatibleWith(PF));
   AnalysisResult PFRun = analyzeProgram(B->Source, B->GoalSpec, PF);
   EXPECT_TRUE(PFRun.Ok) << PFRun.Error;
-}
-
-TEST_F(ServiceBatchTest, RefreezingLayersANewTierOverTheOld) {
-  // A second batch (new programs) frozen on top of the Section 9 tier:
-  // the merged tier keeps every old language (ids preserved) and adds
-  // the new ones.
-  std::vector<AnalysisJob> Extra;
-  Extra.push_back({"nrev",
-                   "app([],L,L).\n"
-                   "app([X|T],L,[X|R]) :- app(T,L,R).\n"
-                   "nrev([],[]).\n"
-                   "nrev([X|T],R) :- nrev(T,RT), app(RT,[X],R).\n",
-                   "nrev(any,any)"});
-  AnalyzerOptions Opts;
-  Opts.Shared = Cache;
-  std::string Err;
-  std::shared_ptr<const SharedCache> Merged =
-      SharedCache::build(Extra, Opts, &Err);
-  ASSERT_NE(Merged, nullptr) << Err;
-  EXPECT_GE(Merged->stats().Graphs, Cache->stats().Graphs);
-  EXPECT_GE(Merged->stats().OpResults, Cache->stats().OpResults);
-
-  // Jobs from both batches resolve against the merged tier.
-  AnalyzerOptions WithMerged;
-  WithMerged.Shared = Merged;
-  for (const AnalysisJob &J :
-       {Extra[0], AnalysisJob{"KA", findBenchmark("KA")->Source,
-                              findBenchmark("KA")->GoalSpec}}) {
-    AnalysisResult Cold = analyzeProgram(J.Source, J.GoalSpec);
-    AnalysisResult Tiered = analyzeProgram(J.Source, J.GoalSpec, WithMerged);
-    EXPECT_EQ(fingerprint(Cold), fingerprint(Tiered)) << J.Key;
-    EXPECT_GT(Tiered.Stats.OpCacheSharedHits, 0u) << J.Key;
-  }
-
-  // Fresh vs stacked: the ten Section 9 programs frozen in one build
-  // (the suite tier) and in two stacked builds (first half, then the
-  // second half over it) serve byte-identical fingerprints, equal to
-  // the cold run's.
-  std::vector<AnalysisJob> Jobs = section9Jobs();
-  ASSERT_EQ(Jobs.size(), 10u);
-  std::vector<AnalysisJob> FirstHalf(Jobs.begin(),
-                                     Jobs.begin() + Jobs.size() / 2);
-  std::vector<AnalysisJob> SecondHalf(Jobs.begin() + Jobs.size() / 2,
-                                      Jobs.end());
-  std::shared_ptr<const SharedCache> Lower =
-      SharedCache::build(FirstHalf, AnalyzerOptions{}, &Err);
-  ASSERT_NE(Lower, nullptr) << Err;
-  AnalyzerOptions OverLower;
-  OverLower.Shared = Lower;
-  std::shared_ptr<const SharedCache> Stacked =
-      SharedCache::build(SecondHalf, OverLower, &Err);
-  ASSERT_NE(Stacked, nullptr) << Err;
-  AnalyzerOptions WithFresh, WithStacked;
-  WithFresh.Shared = Cache;
-  WithStacked.Shared = Stacked;
-  for (const AnalysisJob &J : Jobs) {
-    AnalysisResult Cold = analyzeProgram(J.Source, J.GoalSpec);
-    ASSERT_TRUE(Cold.Ok) << J.Key;
-    AnalysisResult Fresh = analyzeProgram(J.Source, J.GoalSpec, WithFresh);
-    AnalysisResult Stack = analyzeProgram(J.Source, J.GoalSpec, WithStacked);
-    EXPECT_EQ(fingerprint(Cold), fingerprint(Fresh)) << J.Key << " fresh";
-    EXPECT_EQ(fingerprint(Cold), fingerprint(Stack)) << J.Key << " stacked";
-  }
 }
 
 /// The malformed-input pin: one bad program in a 100-job batch fails

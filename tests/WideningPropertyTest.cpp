@@ -1,9 +1,9 @@
 //===- tests/WideningPropertyTest.cpp - Widening fast-path properties -----==//
 ///
 /// \file
-/// Seeded, deterministic property tests for the ISSUE-5 widening fast
-/// path (interned pf-sets, per-graph topology caches, scratch-based
-/// incremental transform loop):
+/// Seeded, deterministic property tests for the widening fast path
+/// (interned pf-sets, per-graph topology caches, the scratch-based
+/// in-place transform loop with its full clash walk per transform):
 ///
 ///   (a) the scratch-based production graphWiden is *bit-identical*
 ///       (structurally equal, not just language-equal) to the

@@ -3,11 +3,14 @@
 /// \file
 /// Golden tests for the widening operator on the paper's own worked
 /// examples (append/3 in Section 7.1, the first arithmetic program in
-/// Figure 6) plus property sweeps for the widening laws: the result is
-/// an upper bound of both arguments and iterating V is stationary.
+/// Figure 6), a pin of the transform sequence each Section 9 program
+/// runs, plus property sweeps for the widening laws: the result is an
+/// upper bound of both arguments and iterating V is stationary.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/Analyzer.h"
+#include "programs/Benchmarks.h"
 #include "typegraph/GrammarParser.h"
 #include "typegraph/GrammarPrinter.h"
 #include "typegraph/GraphOps.h"
@@ -202,6 +205,44 @@ TEST_F(WideningTest, WidenFromBottom) {
   TypeGraph List = TypeGraph::makeAnyList(Syms);
   EXPECT_TRUE(graphEquals(graphWiden(Bot, List, Syms), List, Syms));
   EXPECT_TRUE(graphEquals(graphWiden(List, Bot, Syms), List, Syms));
+}
+
+/// The Section 9 transform sequence, pinned per program at or-cap 0:
+/// correspondence walks, widening clashes found, and how often each
+/// rule fired. Any change to the clash walk or to the rule order that
+/// alters what the widening does on a real analysis moves one of these
+/// counts, even where the final types happen to agree.
+TEST(WideningSection9Test, TransformCountsArePinnedAtOrCap0) {
+  struct Expected {
+    const char *Key;
+    uint64_t ClashWalks, Clashes, CycleIntroductions, Replacements;
+  };
+  const Expected Table[] = {
+      {"KA", 50, 52, 8, 0},
+      {"QU", 9, 7, 2, 0},
+      {"PR", 72, 74, 7, 1},
+      {"PE", 9, 6, 2, 0},
+      {"CS", 28, 26, 2, 0},
+      {"DS", 58, 55, 3, 0},
+      {"PG", 81, 128, 8, 0},
+      {"RE", 81, 86, 29, 0},
+      {"BR", 109, 124, 15, 5},
+      {"PL", 48, 78, 8, 2},
+  };
+  ASSERT_EQ(table123Suite().size(), std::size(Table));
+  AnalyzerOptions Opts;
+  Opts.OrCap = 0;
+  for (const Expected &E : Table) {
+    const BenchmarkProgram *B = findBenchmark(E.Key);
+    ASSERT_NE(B, nullptr) << E.Key;
+    AnalysisResult R = analyzeProgram(B->Source, B->GoalSpec, Opts);
+    ASSERT_TRUE(R.Ok) << E.Key << ": " << R.Error;
+    EXPECT_EQ(R.WStats.ClashWalks, E.ClashWalks) << E.Key;
+    EXPECT_EQ(R.WStats.Clashes, E.Clashes) << E.Key;
+    EXPECT_EQ(R.WStats.CycleIntroductions, E.CycleIntroductions) << E.Key;
+    EXPECT_EQ(R.WStats.Replacements, E.Replacements) << E.Key;
+    EXPECT_EQ(R.WStats.BudgetExhaustions, 0u) << E.Key;
+  }
 }
 
 //===----------------------------------------------------------------------===//

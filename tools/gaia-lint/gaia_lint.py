@@ -39,13 +39,6 @@ over the real sources:
   banned-rand              rand()/srand() in the hot directories: the
                            analysis must be bit-reproducible; anything
                            stochastic must use a seeded local RNG.
-  relocation-remap         a function that builds a FrozenInternTier or
-                           FrozenPfTier from an existing tier (the
-                           stacking freeze paths in src/support and
-                           src/runtime) must route ids through the
-                           RelocationTable API: raw id arithmetic across
-                           tier boundaries silently breaks the moment a
-                           rebuild renumbers the dense id spaces.
   worker-noexcept          the serving runtime (src/runtime/) contains
                            every per-job failure behind noexcept worker
                            entry points; a naked `throw` or a
@@ -104,14 +97,6 @@ SCRATCH_PARAM_RE = re.compile(r"^\w*Scratch$")
 LOCAL_CONTAINER_BAN = ("vector", "unordered_map", "map")
 HOT_CONTAINER_BAN = ("map", "multimap")
 DEFAULT_HOT_PATHS = ("src/typegraph", "src/gaia")
-# Directories where tier-from-tier rebuilds live; the relocation-remap
-# rule runs only there (a Builder constructed from nothing needs no
-# relocation table).
-DEFAULT_RELOC_PATHS = ("src/support", "src/runtime")
-RELOC_BUILDER_CLASSES = ("FrozenInternTier", "FrozenPfTier")
-# Identifiers that mark "this build reads an existing tier": the shared
-# tier member (Shared) or a previous-tier parameter (Prev).
-RELOC_TIER_REFS = ("Shared", "Prev")
 # Directories whose code runs under the service workers' noexcept
 # containment boundary; the worker-noexcept rule runs only there.
 DEFAULT_WORKER_PATHS = ("src/runtime",)
@@ -812,34 +797,6 @@ def check_scratch_members(file, toks, classes, findings):
                 "instead"))
 
 
-def check_relocation_remap(file, toks, findings):
-    """Functions that construct a FrozenInternTier/FrozenPfTier Builder
-    while reading an existing tier must use the RelocationTable API --
-    the only sanctioned way to carry ids across a tier boundary."""
-    for name, _params, (lo, hi), line in iter_function_defs(toks):
-        body = toks[lo:hi]
-        builds_tier = any(
-            body[i].text in RELOC_BUILDER_CLASSES
-            and i + 3 < len(body)
-            and body[i + 1].text == ":" and body[i + 2].text == ":"
-            and body[i + 3].text == "Builder"
-            for i in range(len(body)))
-        if not builds_tier:
-            continue
-        reads_tier = any(t.kind == "id" and t.text in RELOC_TIER_REFS
-                         for t in body)
-        if not reads_tier:
-            continue  # fresh build: ids are born here, nothing to remap
-        if any(t.text == "RelocationTable" for t in body):
-            continue
-        findings.append(Finding(
-            "relocation-remap", file, line, name,
-            f"{name} builds a frozen tier from an existing tier without a "
-            "RelocationTable; raw id arithmetic across tier boundaries "
-            "breaks silently when a rebuild renumbers the dense id "
-            "spaces"))
-
-
 def check_worker_noexcept(file, toks, findings):
     """The serving runtime's workers are noexcept at the job boundary
     (runContainedJob, which AnalysisService's worker loop runs): a
@@ -1066,7 +1023,7 @@ def in_hot_path(file, hot_paths):
                for hp in hot_paths)
 
 
-def lint_files(files, hot_paths, reloc_paths, worker_paths):
+def lint_files(files, hot_paths, worker_paths):
     findings = []
     toks_by_file = {}
     classes_by_file = {}
@@ -1092,8 +1049,6 @@ def lint_files(files, hot_paths, reloc_paths, worker_paths):
             check_scratch_functions(f, toks, findings)
             check_scratch_members(f, toks, classes, findings)
             check_banned_tokens(f, toks, findings)
-        if in_hot_path(f, reloc_paths):
-            check_relocation_remap(f, toks, findings)
         if in_hot_path(f, worker_paths):
             check_worker_noexcept(f, toks, findings)
             check_detach_calls(f, toks, findings)
@@ -1120,11 +1075,6 @@ def main(argv=None):
                     help="directory (repo-relative) treated as a hot path "
                          "for the scratch/banned rules; default: "
                          + ", ".join(DEFAULT_HOT_PATHS))
-    ap.add_argument("--reloc-path", action="append", default=[],
-                    metavar="DIR",
-                    help="directory (repo-relative) where the "
-                         "relocation-remap rule applies; default: "
-                         + ", ".join(DEFAULT_RELOC_PATHS))
     ap.add_argument("--worker-path", action="append", default=[],
                     metavar="DIR",
                     help="directory (repo-relative) where the "
@@ -1140,14 +1090,13 @@ def main(argv=None):
         return 2
 
     hot_paths = args.hot_path or list(DEFAULT_HOT_PATHS)
-    reloc_paths = args.reloc_path or list(DEFAULT_RELOC_PATHS)
     worker_paths = args.worker_path or list(DEFAULT_WORKER_PATHS)
     files = args.files if args.files else files_from_compdb(args.compdb)
     if not files:
         print("gaia-lint: no files to lint", file=sys.stderr)
         return 2
 
-    findings = lint_files(files, hot_paths, reloc_paths, worker_paths)
+    findings = lint_files(files, hot_paths, worker_paths)
 
     meta_findings = []
     sups = load_suppressions(args.suppressions, meta_findings)

@@ -50,10 +50,6 @@ CASES = {
         [("banned-rand", "rand")],
         ["Rng", "mt19937"],
     ),
-    "relocation_remap_bad.cpp": (
-        [("relocation-remap", "refreezeStacked")],
-        ["freezeFresh", "refreezeRelocated"],
-    ),
     "worker_noexcept_bad.cpp": (
         [("worker-noexcept", "throw"), ("worker-noexcept", "abort")],
         ["exit", "runJobContained"],
@@ -74,7 +70,7 @@ def run_lint(files, extra=()):
     try:
         proc = subprocess.run(
             [sys.executable, LINT, *files, "--hot-path", FIXTURES,
-             "--reloc-path", FIXTURES, "--worker-path", FIXTURES,
+             "--worker-path", FIXTURES,
              "--json", report_path, *extra],
             capture_output=True, text=True)
         with open(report_path, encoding="utf-8") as fp:
