@@ -36,14 +36,17 @@ bench/BENCH_throughput.baseline.json and fails when
   is skipped with a note (first run seeds it); the identity check always
   runs.
 
-Per-program RSS gate (inside the table 3 gate) — runs only when BOTH the
-current snapshot and the baseline report peak_rss_per_program: true
-(the /proc/self/clear_refs watermark reset worked, so the figures are
-per-program rather than the monotone process-wide getrusage maximum).
-Otherwise the RSS columns are printed as notes and the gate is skipped
-with a logged notice — gating monotone numbers would fail on run order,
-not on memory use. Gated programs fail at RSS_TOLERANCE above baseline;
-programs below RSS_FLOOR_KB are noise and never gated.
+Per-program RSS gate (inside the table 3 gate) — the baseline must
+report peak_rss_per_program: true (the /proc/self/clear_refs watermark
+reset worked, so the figures are per-program rather than the monotone
+process-wide getrusage maximum); a baseline that reports false is
+rejected with exit 2, because refreshing the baseline from such a run
+would otherwise switch this gate off unnoticed. When the *current*
+snapshot reports false, its RSS columns are printed as notes and the
+gate is skipped with a logged notice — gating monotone numbers would
+fail on run order, not on memory use. Gated programs fail at
+RSS_TOLERANCE above baseline; programs below RSS_FLOOR_KB are noise and
+never gated.
 
 Service gate (--service) — checks BENCH_service.json (bench/service_soak,
 the resident-service overload ramp) and fails when
@@ -74,7 +77,8 @@ Usage:
       [--service <service.json>]
 The table3 positional may be omitted when at least one mode flag is
 given (the service-soak CI job gates only its own snapshot).
-Exit status: 0 ok, 1 regression/non-convergence/divergence, 2 bad invocation.
+Exit status: 0 ok, 1 regression/non-convergence/divergence, 2 bad invocation
+or a baseline unfit to gate against.
 """
 
 import json
@@ -169,6 +173,14 @@ def check_table3(current_path, baseline_path):
     baseline = load_snapshot(baseline_path, TABLE3_KEYS, "table3 baseline")
     validate_programs(current, current_path, "table3 snapshot")
     validate_programs(baseline, baseline_path, "table3 baseline")
+    if not baseline.get("peak_rss_per_program", False):
+        fail_config(
+            f"table3 baseline '{baseline_path}' reports "
+            "peak_rss_per_program: false (its run could not reset the RSS "
+            "watermark, so its figures are the monotone getrusage maximum); "
+            "gating against it would switch the per-program RSS gate off. "
+            "Refresh the baseline from a run that reports true."
+        )
 
     failed = False
 
@@ -188,18 +200,16 @@ def check_table3(current_path, baseline_path):
     if cur > limit:
         failed = True
 
-    # Per-program RSS is gated only when both runs produced true
-    # per-program watermarks; the getrusage fallback is the monotone
-    # process-wide maximum, where a "regression" is an artifact of run
-    # order, not of memory use.
-    rss_gated = current.get("peak_rss_per_program", False) and baseline.get(
-        "peak_rss_per_program", False
-    )
+    # Per-program RSS is gated only when the current run also produced
+    # true per-program watermarks (the baseline was checked above); the
+    # getrusage fallback is the monotone process-wide maximum, where a
+    # "regression" is an artifact of run order, not of memory use.
+    rss_gated = current.get("peak_rss_per_program", False)
     if not rss_gated:
         print(
             "per-program RSS not gated: peak_rss_per_program is false in "
-            "the snapshot or the baseline (watermark reset unavailable; "
-            "figures are the monotone getrusage maximum)"
+            "the snapshot (watermark reset unavailable; figures are the "
+            "monotone getrusage maximum)"
         )
 
     # Per-program deltas. Programs above the noise floor are gated at

@@ -134,11 +134,12 @@ public:
   using Sub = PatSub<Leaf>;
   using Ctx = typename Leaf::Context;
 
-  /// One memo-table tuple (Bin, p, Bout).
+  /// One memo-table tuple (Bin, p, Bout), viewing the engine's entry:
+  /// valid while the engine lives and solve() is not running.
   struct Tuple {
-    FunctorId Pred = InvalidFunctor;
-    Sub In = Sub::bottom(0);
-    Sub Out = Sub::bottom(0);
+    FunctorId Pred;
+    const Sub &In;
+    const Sub &Out;
   };
 
   Engine(const NProgram &Prog, const Ctx &C,
@@ -154,6 +155,7 @@ public:
   /// All memo-table tuples, for reporting and tag extraction.
   std::vector<Tuple> tuples() const {
     std::vector<Tuple> Result;
+    Result.reserve(Entries.size());
     for (const auto &E : Entries)
       Result.push_back(Tuple{E->Pred, E->In, E->Out});
     return Result;

@@ -22,17 +22,25 @@
 /// indices below are removed from Pat and replaced by an equivalent
 /// value in the leaf domain.
 ///
+/// The operations build no per-call maps or buffers: their index maps
+/// and leaf-value buffers are leased from a per-thread PatScratch
+/// (pat/PatScratch.h), and a frame's argument indices are stored inline
+/// up to arity 4. What they allocate is the substitutions they return
+/// and whatever the leaf operations allocate.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GAIA_PAT_PATSUB_H
 #define GAIA_PAT_PATSUB_H
 
+#include "pat/PatScratch.h"
 #include "prolog/Builtins.h"
 #include "support/Debug.h"
+#include "support/SmallVector.h"
 #include "support/StringInterner.h"
 
+#include <algorithm>
 #include <cassert>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,7 +55,7 @@ public:
   /// The substitution with \p NumSlots unconstrained slots.
   static PatSub top(const Ctx &C, uint32_t NumSlots) {
     PatSub S;
-    S.Slots.reserve(NumSlots);
+    S.reserve(NumSlots, NumSlots);
     for (uint32_t I = 0; I != NumSlots; ++I)
       S.Slots.push_back(S.newLeaf(Leaf::any(C)));
     return S;
@@ -72,7 +80,7 @@ public:
   void unifyVars(const Ctx &C, uint32_t SlotA, uint32_t SlotB) {
     if (IsBottom)
       return;
-    unifyIndices(C, find(Slots[SlotA]), find(Slots[SlotB]));
+    unifyIndices(C, scratch(), find(Slots[SlotA]), find(Slots[SlotB]));
   }
 
   /// Xa = f(Xb1, ..., Xbk).
@@ -80,18 +88,17 @@ public:
                  const std::vector<uint32_t> &ArgSlots) {
     if (IsBottom)
       return;
-    std::vector<uint32_t> ArgIdx;
-    ArgIdx.reserve(ArgSlots.size());
+    InlineArgs ArgIdx;
     for (uint32_t S : ArgSlots)
       ArgIdx.push_back(find(Slots[S]));
-    imposeFrame(C, find(Slots[SlotA]), Fn, ArgIdx);
+    imposeFrame(C, scratch(), find(Slots[SlotA]), Fn, ArgIdx);
   }
 
   /// Refines slot \p Slot with leaf value \p V (e.g. Int for is/2).
   void refineSlot(const Ctx &C, uint32_t Slot, const Value &V) {
     if (IsBottom)
       return;
-    refineWithValue(C, find(Slots[Slot]), V);
+    refineWithValue(C, scratch(), find(Slots[Slot]), V);
   }
 
   //===--------------------------------------------------------------------//
@@ -103,10 +110,20 @@ public:
   PatSub project(const Ctx &, const std::vector<uint32_t> &OutSlots) const {
     if (IsBottom)
       return bottom(static_cast<uint32_t>(OutSlots.size()));
+    Scratch &S = scratch();
     PatSub R;
-    std::map<uint32_t, uint32_t> Remap; // my index -> new index
-    for (uint32_t S : OutSlots)
-      R.Slots.push_back(copyInto(R, find(Slots[S]), Remap));
+    {
+      // The result is kept (memo-table inputs are projections), so it is
+      // sized to the subterms reachable from OutSlots.
+      auto Seen = S.Maps.lease(numSubs());
+      uint32_t Reachable = 0;
+      for (uint32_t Slot : OutSlots)
+        countReachable(find(Slots[Slot]), *Seen, Reachable);
+      R.reserve(static_cast<uint32_t>(OutSlots.size()), Reachable);
+    }
+    auto Remap = S.Maps.lease(numSubs()); // my index -> new index
+    for (uint32_t Slot : OutSlots)
+      R.Slots.push_back(copyInto(R, find(Slots[Slot]), *Remap));
     return R;
   }
 
@@ -119,10 +136,11 @@ public:
     if (CallPat.IsBottom)
       return bottom(NumVars);
     PatSub R;
-    std::map<uint32_t, uint32_t> Remap;
+    R.reserve(NumVars, CallPat.numSubs() + NumVars - CallPat.numSlots());
+    auto Remap = scratch().Maps.lease(CallPat.numSubs());
     for (uint32_t S = 0; S != CallPat.numSlots(); ++S)
-      R.Slots.push_back(CallPat.copyInto(R, CallPat.find(CallPat.Slots[S]),
-                                         Remap));
+      R.Slots.push_back(
+          CallPat.copyInto(R, CallPat.find(CallPat.Slots[S]), *Remap));
     for (uint32_t V = CallPat.numSlots(); V != NumVars; ++V)
       R.Slots.push_back(R.newLeaf(Leaf::any(C)));
     return R;
@@ -140,10 +158,11 @@ public:
       return;
     }
     assert(ArgSlots.size() == Out.numSlots() && "call arity mismatch");
-    std::map<uint32_t, uint32_t> Memo; // out index -> my index
+    Scratch &S = scratch();
+    auto Memo = S.Maps.lease(Out.numSubs()); // out index -> my index
     for (size_t R = 0; R != ArgSlots.size(); ++R) {
-      applyPair(C, find(Slots[ArgSlots[R]]), Out,
-                Out.find(Out.Slots[R]), Memo);
+      applyPair(C, S, find(Slots[ArgSlots[R]]), Out, Out.find(Out.Slots[R]),
+                *Memo);
       if (IsBottom)
         return;
     }
@@ -173,9 +192,11 @@ public:
     if (B.IsBottom)
       return false;
     assert(A.numSlots() == B.numSlots() && "slot count mismatch");
-    std::map<uint32_t, uint32_t> BToA;
-    for (uint32_t S = 0; S != A.numSlots(); ++S)
-      if (!leqPair(C, A, A.find(A.Slots[S]), B, B.find(B.Slots[S]), BToA))
+    Scratch &S = scratch();
+    auto BToA = S.Maps.lease(B.numSubs());
+    for (uint32_t Slot = 0; Slot != A.numSlots(); ++Slot)
+      if (!leqPair(C, S, A, A.find(A.Slots[Slot]), B, B.find(B.Slots[Slot]),
+                   *BToA))
         return false;
     return true;
   }
@@ -193,9 +214,7 @@ public:
   Value slotValue(const Ctx &C, uint32_t Slot) const {
     if (IsBottom)
       return Leaf::bottom(C);
-    std::map<uint32_t, Value> Memo;
-    std::vector<uint32_t> Path;
-    return termValue(C, find(Slots[Slot]), Memo, Path);
+    return foldValue(C, scratch(), find(Slots[Slot]));
   }
 
   /// Frame of slot \p Slot, if any: the principal functor.
@@ -224,9 +243,10 @@ public:
     if (IsBottom)
       return 0xB0770Bu + numSlots();
     std::size_t Seed = numSlots();
-    std::map<uint32_t, uint32_t> Number; // representative -> discovery id
+    auto Number = scratch().Maps.lease(numSubs()); // rep -> discovery id
+    uint32_t Next = 0;
     for (uint32_t S : Slots)
-      keyIndex(C, S, Number, Seed);
+      keyIndex(C, S, *Number, Next, Seed);
     return Seed;
   }
 
@@ -234,28 +254,49 @@ public:
   std::string print(const Ctx &C) const;
 
 private:
+  using Scratch = PatScratch<Value>;
+  using ValueMemo = typename Scratch::ValueMemo;
+  using PairMemo = typename Scratch::PairMemo;
+  /// A frame's argument indices: inline up to arity 4, heap beyond.
+  using InlineArgs = SmallVector<uint32_t, 4>;
+
   /// One subterm.
   struct Sub {
     bool HasFrame = false;
     FunctorId Fn = InvalidFunctor;
-    std::vector<uint32_t> FrameArgs;
+    InlineArgs FrameArgs;
     Value Prop; ///< valid iff !HasFrame
   };
 
+  /// The calling thread's scratch. PatSub operations never call back
+  /// into PatSub through the leaf domain, so one scratch per thread
+  /// serves every substitution, engine and context of this leaf type.
+  static Scratch &scratch() {
+    static thread_local Scratch S;
+    return S;
+  }
+
+  uint32_t numSubs() const { return static_cast<uint32_t>(Subs.size()); }
+
+  void reserve(uint32_t NumSlots, uint32_t NumSubs) {
+    Slots.reserve(NumSlots);
+    Subs.reserve(NumSubs);
+    Parent.reserve(NumSubs);
+  }
+
   uint32_t newLeaf(Value V) {
-    Sub S;
-    S.Prop = std::move(V);
-    Subs.push_back(std::move(S));
+    Subs.emplace_back();
+    Subs.back().Prop = std::move(V);
     Parent.push_back(static_cast<uint32_t>(Subs.size() - 1));
     return static_cast<uint32_t>(Subs.size() - 1);
   }
 
-  uint32_t newFrame(FunctorId Fn, std::vector<uint32_t> Args) {
-    Sub S;
+  uint32_t newFrame(FunctorId Fn, const InlineArgs &Args) {
+    Subs.emplace_back();
+    Sub &S = Subs.back();
     S.HasFrame = true;
     S.Fn = Fn;
-    S.FrameArgs = std::move(Args);
-    Subs.push_back(std::move(S));
+    S.FrameArgs = Args;
     Parent.push_back(static_cast<uint32_t>(Subs.size() - 1));
     return static_cast<uint32_t>(Subs.size() - 1);
   }
@@ -281,7 +322,7 @@ private:
   }
 
   /// Abstract unification of two subterm indices.
-  void unifyIndices(const Ctx &C, uint32_t I, uint32_t J) {
+  void unifyIndices(const Ctx &C, Scratch &S, uint32_t I, uint32_t J) {
     I = find(I);
     J = find(J);
     if (I == J || IsBottom)
@@ -293,11 +334,11 @@ private:
         markBottom();
         return;
       }
-      std::vector<uint32_t> ArgsI = SI.FrameArgs;
-      std::vector<uint32_t> ArgsJ = SJ.FrameArgs;
+      InlineArgs ArgsI = SI.FrameArgs;
+      InlineArgs ArgsJ = SJ.FrameArgs;
       link(I, J);
       for (size_t K = 0; K != ArgsI.size(); ++K) {
-        unifyIndices(C, ArgsI[K], ArgsJ[K]);
+        unifyIndices(C, S, ArgsI[K], ArgsJ[K]);
         if (IsBottom)
           return;
       }
@@ -307,13 +348,13 @@ private:
       // Push J's leaf value through I's frame.
       Value V = SJ.Prop;
       link(I, J);
-      refineWithValue(C, I, V);
+      refineWithValue(C, S, I, V);
       return;
     }
     if (!SI.HasFrame && SJ.HasFrame) {
       Value V = SI.Prop;
       link(J, I);
-      refineWithValue(C, J, V);
+      refineWithValue(C, S, J, V);
       return;
     }
     // Both leaves.
@@ -327,8 +368,8 @@ private:
   }
 
   /// Ensures index \p I has frame \p Fn with argument indices \p ArgIdx.
-  void imposeFrame(const Ctx &C, uint32_t I, FunctorId Fn,
-                   const std::vector<uint32_t> &ArgIdx) {
+  void imposeFrame(const Ctx &C, Scratch &S, uint32_t I, FunctorId Fn,
+                   const InlineArgs &ArgIdx) {
     I = find(I);
     Sub &SI = Subs[I];
     if (SI.HasFrame) {
@@ -336,17 +377,17 @@ private:
         markBottom();
         return;
       }
-      std::vector<uint32_t> Args = SI.FrameArgs;
+      InlineArgs Args = SI.FrameArgs;
       for (size_t K = 0; K != Args.size(); ++K) {
-        unifyIndices(C, Args[K], ArgIdx[K]);
+        unifyIndices(C, S, Args[K], ArgIdx[K]);
         if (IsBottom)
           return;
       }
       return;
     }
     // Leaf: split its value at Fn and refine the argument subterms.
-    std::vector<Value> ArgVals;
-    if (!Leaf::restrictTo(C, SI.Prop, Fn, ArgVals)) {
+    auto ArgVals = S.Bufs.lease();
+    if (!Leaf::restrictTo(C, SI.Prop, Fn, ArgVals->Vals)) {
       markBottom();
       return;
     }
@@ -354,9 +395,10 @@ private:
     SI.Fn = Fn;
     SI.FrameArgs = ArgIdx;
     SI.Prop = Value();
-    assert(ArgVals.size() == ArgIdx.size() && "restrictTo arity mismatch");
+    assert(ArgVals->Vals.size() == ArgIdx.size() &&
+           "restrictTo arity mismatch");
     for (size_t K = 0; K != ArgIdx.size(); ++K) {
-      refineWithValue(C, ArgIdx[K], ArgVals[K]);
+      refineWithValue(C, S, ArgIdx[K], ArgVals->Vals[K]);
       if (IsBottom)
         return;
     }
@@ -367,7 +409,7 @@ private:
   /// arise from unifications like X = f(Y), X = Y; the depth budget cuts
   /// the recursion there (skipping a refinement is sound — it only loses
   /// precision).
-  void refineWithValue(const Ctx &C, uint32_t I, const Value &V,
+  void refineWithValue(const Ctx &C, Scratch &S, uint32_t I, const Value &V,
                        unsigned Depth = 0) {
     constexpr unsigned MaxRefineDepth = 64;
     if (Depth > MaxRefineDepth)
@@ -383,14 +425,14 @@ private:
       SI.Prop = std::move(M);
       return;
     }
-    std::vector<Value> ArgVals;
-    if (!Leaf::restrictTo(C, V, SI.Fn, ArgVals)) {
+    auto ArgVals = S.Bufs.lease();
+    if (!Leaf::restrictTo(C, V, SI.Fn, ArgVals->Vals)) {
       markBottom();
       return;
     }
-    std::vector<uint32_t> Args = SI.FrameArgs;
+    InlineArgs Args = SI.FrameArgs;
     for (size_t K = 0; K != Args.size(); ++K) {
-      refineWithValue(C, Args[K], ArgVals[K], Depth + 1);
+      refineWithValue(C, S, Args[K], ArgVals->Vals[K], Depth + 1);
       if (IsBottom)
         return;
     }
@@ -400,14 +442,16 @@ private:
   /// via Leaf::canonKey) under a discovery-order renaming of the indices.
   /// Rational frame cycles terminate because an index is numbered before
   /// its arguments are visited.
-  void keyIndex(const Ctx &C, uint32_t I, std::map<uint32_t, uint32_t> &Number,
+  void keyIndex(const Ctx &C, uint32_t I, DenseIdx &Number, uint32_t &Next,
                 std::size_t &Seed) const {
     I = find(I);
-    auto [It, Inserted] =
-        Number.emplace(I, static_cast<uint32_t>(Number.size()));
-    hashCombine(Seed, It->second);
-    if (!Inserted)
+    uint32_t Id = Number.get(I);
+    if (Id != DenseIdx::Absent) {
+      hashCombine(Seed, Id);
       return; // same-value reference to an already hashed subterm
+    }
+    Number.set(I, Next);
+    hashCombine(Seed, Next++);
     const Sub &S = Subs[I];
     if (!S.HasFrame) {
       hashCombine(Seed, 0x1eafu);
@@ -417,105 +461,120 @@ private:
     hashCombine(Seed, 0xf7a3eu);
     hashCombine(Seed, S.Fn);
     for (uint32_t A : S.FrameArgs)
-      keyIndex(C, A, Number, Seed);
+      keyIndex(C, A, Number, Next, Seed);
+  }
+
+  /// Counts the subterms reachable from \p I not yet marked in \p Seen.
+  void countReachable(uint32_t I, DenseIdx &Seen, uint32_t &Count) const {
+    I = find(I);
+    if (Seen.get(I) != DenseIdx::Absent)
+      return;
+    Seen.set(I, 0);
+    ++Count;
+    if (Subs[I].HasFrame)
+      for (uint32_t A : Subs[I].FrameArgs)
+        countReachable(A, Seen, Count);
   }
 
   /// Copies the subterm \p I into \p R, preserving sharing via \p Remap.
-  uint32_t copyInto(PatSub &R, uint32_t I,
-                    std::map<uint32_t, uint32_t> &Remap) const {
+  uint32_t copyInto(PatSub &R, uint32_t I, DenseIdx &Remap) const {
     I = find(I);
-    auto It = Remap.find(I);
-    if (It != Remap.end())
-      return It->second;
+    uint32_t Known = Remap.get(I);
+    if (Known != DenseIdx::Absent)
+      return Known;
     const Sub &S = Subs[I];
     if (!S.HasFrame) {
       uint32_t N = R.newLeaf(S.Prop);
-      Remap.emplace(I, N);
+      Remap.set(I, N);
       return N;
     }
     uint32_t N = R.newFrame(S.Fn, {});
-    Remap.emplace(I, N);
-    std::vector<uint32_t> Args;
-    Args.reserve(S.FrameArgs.size());
+    Remap.set(I, N);
+    InlineArgs Args;
     for (uint32_t A : S.FrameArgs)
       Args.push_back(copyInto(R, A, Remap));
-    R.Subs[N].FrameArgs = std::move(Args);
+    R.Subs[N].FrameArgs = Args;
     return N;
   }
 
-  /// Folds a subterm back into a single leaf value. Rational cycles
-  /// (possible after unifications like X = f(Y), X = Y) are cut with Any.
-  Value termValue(const Ctx &C, uint32_t I, std::map<uint32_t, Value> &Memo,
-                  std::vector<uint32_t> &Path) const {
+  /// Folds subterm \p I back into a single leaf value, with a memo of its
+  /// own (a fold's result at a rational cycle depends on where the fold
+  /// entered it, so folds never share memo entries).
+  Value foldValue(const Ctx &C, Scratch &S, uint32_t I) const {
+    auto Memo = S.Memos.lease(numSubs());
+    return termValue(C, S, I, *Memo);
+  }
+
+  /// foldValue's recursion. Rational cycles (possible after unifications
+  /// like X = f(Y), X = Y) are cut with Any.
+  Value termValue(const Ctx &C, Scratch &S, uint32_t I,
+                  ValueMemo &Memo) const {
     I = find(I);
-    auto It = Memo.find(I);
-    if (It != Memo.end())
-      return It->second;
-    const Sub &S = Subs[I];
-    if (!S.HasFrame) {
-      Memo.emplace(I, S.Prop);
-      return S.Prop;
+    uint32_t Pos = Memo.Pos.get(I);
+    if (Pos == ValueMemo::InProgress)
+      return Leaf::any(C); // rational cycle: over-approximate
+    if (Pos != DenseIdx::Absent)
+      return Memo.Vals[Pos];
+    const Sub &Sb = Subs[I];
+    if (!Sb.HasFrame) {
+      Memo.Pos.set(I, static_cast<uint32_t>(Memo.Vals.size()));
+      Memo.Vals.push_back(Sb.Prop);
+      return Sb.Prop;
     }
-    for (uint32_t P : Path)
-      if (P == I)
-        return Leaf::any(C); // rational cycle: over-approximate
-    Path.push_back(I);
-    std::vector<Value> Args;
-    Args.reserve(S.FrameArgs.size());
-    for (uint32_t A : S.FrameArgs)
-      Args.push_back(termValue(C, A, Memo, Path));
-    Path.pop_back();
-    Value V = Leaf::construct(C, S.Fn, Args);
-    Memo.emplace(I, V);
+    Memo.Pos.set(I, ValueMemo::InProgress);
+    auto Args = S.Bufs.lease();
+    for (uint32_t A : Sb.FrameArgs)
+      Args->Vals.push_back(termValue(C, S, A, Memo));
+    Value V = Leaf::construct(C, Sb.Fn, Args->Vals);
+    Memo.Pos.set(I, static_cast<uint32_t>(Memo.Vals.size()));
+    Memo.Vals.push_back(V);
     return V;
   }
 
   /// EXTC helper: imposes the callee subterm (\p Out, \p J) onto the
   /// caller subterm \p I. \p Memo carries out-index -> caller-index so
   /// the callee's same-value equalities transfer to the caller.
-  void applyPair(const Ctx &C, uint32_t I, const PatSub &Out, uint32_t J,
-                 std::map<uint32_t, uint32_t> &Memo) {
+  void applyPair(const Ctx &C, Scratch &S, uint32_t I, const PatSub &Out,
+                 uint32_t J, DenseIdx &Memo) {
     if (IsBottom)
       return;
     I = find(I);
     J = Out.find(J);
-    auto It = Memo.find(J);
-    if (It != Memo.end()) {
+    uint32_t Seen = Memo.get(J);
+    if (Seen != DenseIdx::Absent) {
       // The callee says this subterm equals a previously seen one.
-      unifyIndices(C, I, It->second);
+      unifyIndices(C, S, I, Seen);
       return;
     }
-    Memo.emplace(J, I);
+    Memo.set(J, I);
     const Sub &SJ = Out.Subs[J];
     if (!SJ.HasFrame) {
-      refineWithValue(C, I, SJ.Prop);
+      refineWithValue(C, S, I, SJ.Prop);
       return;
     }
     // Callee knows the frame. Ensure the caller has it too.
     uint32_t Irep = find(I);
     if (!Subs[Irep].HasFrame) {
-      std::vector<Value> ArgVals;
-      if (!Leaf::restrictTo(C, Subs[Irep].Prop, SJ.Fn, ArgVals)) {
+      auto ArgVals = S.Bufs.lease();
+      if (!Leaf::restrictTo(C, Subs[Irep].Prop, SJ.Fn, ArgVals->Vals)) {
         markBottom();
         return;
       }
-      std::vector<uint32_t> FreshArgs;
-      FreshArgs.reserve(ArgVals.size());
-      for (Value &V : ArgVals)
+      InlineArgs FreshArgs;
+      for (Value &V : ArgVals->Vals)
         FreshArgs.push_back(newLeaf(std::move(V)));
       Sub &SI = Subs[Irep];
       SI.HasFrame = true;
       SI.Fn = SJ.Fn;
-      SI.FrameArgs = std::move(FreshArgs);
+      SI.FrameArgs = FreshArgs;
       SI.Prop = Value();
     } else if (Subs[Irep].Fn != SJ.Fn) {
       markBottom();
       return;
     }
-    std::vector<uint32_t> MyArgs = Subs[Irep].FrameArgs;
-    std::vector<uint32_t> OutArgs = SJ.FrameArgs;
+    InlineArgs MyArgs = Subs[Irep].FrameArgs;
     for (size_t K = 0; K != MyArgs.size(); ++K) {
-      applyPair(C, MyArgs[K], Out, OutArgs[K], Memo);
+      applyPair(C, S, MyArgs[K], Out, SJ.FrameArgs[K], Memo);
       if (IsBottom)
         return;
     }
@@ -529,74 +588,72 @@ private:
     if (B.IsBottom)
       return A;
     assert(A.numSlots() == B.numSlots() && "slot count mismatch");
+    Scratch &S = scratch();
+    // The result has at most one subterm per visited (A, B) pair; on the
+    // analyzer's inputs that is about the smaller operand.
+    uint32_t Expected = std::min(A.numSubs(), B.numSubs());
     PatSub R;
-    std::map<std::pair<uint32_t, uint32_t>, uint32_t> Memo;
-    for (uint32_t S = 0; S != A.numSlots(); ++S)
-      R.Slots.push_back(combine(C, A, A.find(A.Slots[S]), B,
-                                B.find(B.Slots[S]), R, Memo, Widen));
+    R.reserve(A.numSlots(), Expected);
+    auto Memo = S.Pairs.lease(Expected);
+    for (uint32_t Slot = 0; Slot != A.numSlots(); ++Slot)
+      R.Slots.push_back(combine(C, S, A, A.find(A.Slots[Slot]), B,
+                                B.find(B.Slots[Slot]), R, *Memo, Widen));
     return R;
   }
 
-  static uint32_t combine(const Ctx &C, const PatSub &A, uint32_t IA,
-                          const PatSub &B, uint32_t IB, PatSub &R,
-                          std::map<std::pair<uint32_t, uint32_t>, uint32_t>
-                              &Memo,
-                          bool Widen) {
+  static uint32_t combine(const Ctx &C, Scratch &S, const PatSub &A,
+                          uint32_t IA, const PatSub &B, uint32_t IB,
+                          PatSub &R, PairMemo &Memo, bool Widen) {
     IA = A.find(IA);
     IB = B.find(IB);
-    auto Key = std::make_pair(IA, IB);
-    auto It = Memo.find(Key);
-    if (It != Memo.end())
-      return It->second;
+    uint64_t Key = (static_cast<uint64_t>(IA) << 32) | IB;
+    uint32_t Hash = PairMemo::hash(Key);
+    uint32_t Known = Memo.find(Key, Hash);
+    if (Known != DenseIdTable::NotFound)
+      return Known;
     const Sub &SA = A.Subs[IA];
     const Sub &SB = B.Subs[IB];
     if (SA.HasFrame && SB.HasFrame && SA.Fn == SB.Fn) {
       uint32_t N = R.newFrame(SA.Fn, {});
-      Memo.emplace(Key, N);
-      std::vector<uint32_t> Args;
-      Args.reserve(SA.FrameArgs.size());
+      [[maybe_unused]] uint32_t Id = Memo.insert(Key, Hash);
+      assert(Id == N && "pair ids follow result creation order");
+      InlineArgs Args;
       for (size_t K = 0; K != SA.FrameArgs.size(); ++K)
-        Args.push_back(combine(C, A, SA.FrameArgs[K], B, SB.FrameArgs[K],
+        Args.push_back(combine(C, S, A, SA.FrameArgs[K], B, SB.FrameArgs[K],
                                R, Memo, Widen));
-      R.Subs[N].FrameArgs = std::move(Args);
+      R.Subs[N].FrameArgs = Args;
       return N;
     }
     // Frames disagree (or a leaf is involved): drop to the leaf domain.
     // This is exactly the Pat/Type interaction of Section 5: the indices
     // in the subtrees are replaced by an equivalent type graph.
-    std::map<uint32_t, Value> MemoA, MemoB;
-    std::vector<uint32_t> PathA, PathB;
-    Value VA = A.termValue(C, IA, MemoA, PathA);
-    Value VB = B.termValue(C, IB, MemoB, PathB);
+    Value VA = A.foldValue(C, S, IA);
+    Value VB = B.foldValue(C, S, IB);
     Value V = Widen ? Leaf::widen(C, VA, VB) : Leaf::join(C, VA, VB);
     uint32_t N = R.newLeaf(std::move(V));
-    Memo.emplace(Key, N);
+    [[maybe_unused]] uint32_t Id = Memo.insert(Key, Hash);
+    assert(Id == N && "pair ids follow result creation order");
     return N;
   }
 
-  static bool leqPair(const Ctx &C, const PatSub &A, uint32_t IA,
-                      const PatSub &B, uint32_t IB,
-                      std::map<uint32_t, uint32_t> &BToA) {
+  static bool leqPair(const Ctx &C, Scratch &S, const PatSub &A, uint32_t IA,
+                      const PatSub &B, uint32_t IB, DenseIdx &BToA) {
     IA = A.find(IA);
     IB = B.find(IB);
-    auto It = BToA.find(IB);
-    if (It != BToA.end())
-      return It->second == IA; // B's same-value must hold in A
-    BToA.emplace(IB, IA);
+    uint32_t Mapped = BToA.get(IB);
+    if (Mapped != DenseIdx::Absent)
+      return Mapped == IA; // B's same-value must hold in A
+    BToA.set(IB, IA);
     const Sub &SB = B.Subs[IB];
     const Sub &SA = A.Subs[IA];
-    if (!SB.HasFrame) {
-      std::map<uint32_t, Value> Memo;
-      std::vector<uint32_t> Path;
-      Value VA = A.termValue(C, IA, Memo, Path);
-      return Leaf::includes(C, SB.Prop, VA);
-    }
+    if (!SB.HasFrame)
+      return Leaf::includes(C, SB.Prop, A.foldValue(C, S, IA));
     if (!SA.HasFrame)
       return false; // conservative: A lacks structure B asserts
     if (SA.Fn != SB.Fn)
       return false;
     for (size_t K = 0; K != SA.FrameArgs.size(); ++K)
-      if (!leqPair(C, A, SA.FrameArgs[K], B, SB.FrameArgs[K], BToA))
+      if (!leqPair(C, S, A, SA.FrameArgs[K], B, SB.FrameArgs[K], BToA))
         return false;
     return true;
   }

@@ -32,10 +32,11 @@ over the real sources:
                            derives from one in the same file): such a
                            class is a per-run view over the scratch.
   banned-container         std::map/std::multimap anywhere in the hot
-                           directories (src/typegraph/, src/gaia/):
-                           node-based ordered maps are never the right
-                           container on these paths, and their iteration
-                           order invites accidental ordering dependence.
+                           directories (src/typegraph/, src/gaia/,
+                           src/pat/): node-based ordered maps are never
+                           the right container on these paths, and their
+                           iteration order invites accidental ordering
+                           dependence.
   banned-rand              rand()/srand() in the hot directories: the
                            analysis must be bit-reproducible; anything
                            stochastic must use a seeded local RNG.
@@ -96,7 +97,7 @@ EPOCH_HOOK = "invalidateDerived"
 SCRATCH_PARAM_RE = re.compile(r"^\w*Scratch$")
 LOCAL_CONTAINER_BAN = ("vector", "unordered_map", "map")
 HOT_CONTAINER_BAN = ("map", "multimap")
-DEFAULT_HOT_PATHS = ("src/typegraph", "src/gaia")
+DEFAULT_HOT_PATHS = ("src/typegraph", "src/gaia", "src/pat")
 # Directories whose code runs under the service workers' noexcept
 # containment boundary; the worker-noexcept rule runs only there.
 DEFAULT_WORKER_PATHS = ("src/runtime",)
@@ -918,9 +919,9 @@ def check_banned_tokens(file, toks, findings):
                 findings.append(Finding(
                     "banned-container", file, t.line, f"std::{toks[i+3].text}",
                     f"std::{toks[i+3].text} on a hot path: node-based ordered "
-                    "maps are banned in src/typegraph/ and src/gaia/ "
-                    "(allocation-heavy, and ordered iteration invites "
-                    "accidental ordering dependence)"))
+                    "maps are banned in src/typegraph/, src/gaia/ and "
+                    "src/pat/ (allocation-heavy, and ordered iteration "
+                    "invites accidental ordering dependence)"))
                 i = j
                 continue
         if t.kind == "id" and t.text in ("rand", "srand") and i + 1 < n \

@@ -10,6 +10,7 @@ Registered with ctest as GaiaLintFixtures.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -63,14 +64,17 @@ CASES = {
 }
 
 
-def run_lint(files, extra=()):
+def run_lint(files, extra=(), default_paths=False):
+    """Lints `files`; the fixture directory is the hot and worker path
+    unless `default_paths` leaves the linter's own defaults in force."""
     with tempfile.NamedTemporaryFile("r", suffix=".json",
                                      delete=False) as tmp:
         report_path = tmp.name
+    paths = [] if default_paths else ["--hot-path", FIXTURES,
+                                      "--worker-path", FIXTURES]
     try:
         proc = subprocess.run(
-            [sys.executable, LINT, *files, "--hot-path", FIXTURES,
-             "--worker-path", FIXTURES,
+            [sys.executable, LINT, *files, *paths,
              "--json", report_path, *extra],
             capture_output=True, text=True)
         with open(report_path, encoding="utf-8") as fp:
@@ -106,6 +110,27 @@ def main():
         if fixture != "epoch_invalidate_bad.cpp":
             extras = found - set(must)
             check(not extras, f"no extra findings (got {sorted(extras)})")
+
+    # src/pat is a default hot path: the pattern domain runs on every
+    # clause step, so its maps live in PatScratch, not in std::map.
+    print("[pat_hot_path_bad.cpp under src/pat, default hot paths]")
+    fixture = os.path.join(FIXTURES, "pat_hot_path_bad.cpp")
+    with tempfile.TemporaryDirectory() as tmp:
+        pat_dir = os.path.join(tmp, "src", "pat")
+        os.makedirs(pat_dir)
+        target = os.path.join(pat_dir, "PatFixture.h")
+        shutil.copy(fixture, target)
+        rc, report = run_lint([target], default_paths=True)
+    found = {(f["rule"], f["symbol"]) for f in report["findings"]}
+    must = {("banned-container", "std::map"),
+            ("scratch-local-container", "copyArgs:vector")}
+    check(rc == 1, "exit code 1 (findings present)")
+    for want in sorted(must):
+        check(want in found, f"flags {want[0]} on {want[1]}")
+    check(found == must, f"no extra findings (got {sorted(found - must)})")
+    rc, report = run_lint([fixture], default_paths=True)
+    check(rc == 0 and not report["findings"],
+          "the same file outside the hot paths is clean")
 
     print("[clean_ok.cpp]")
     rc, report = run_lint(
